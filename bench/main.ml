@@ -858,12 +858,9 @@ let run_scaling () =
     "=== scaling panel: contended structures at 1/2/4/8/16 threads \
      (schedsim, modeled Mops)";
   (* depth knobs for the nightly deep run; the defaults are what the
-     committed budget floors were measured at *)
-  let env_pos name default =
-    match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-    | Some v when v > 0 -> v
-    | _ -> default
-  in
+     committed budget floors were measured at.  A malformed or
+     non-positive value raises, naming the variable. *)
+  let env_pos name default = Mirror_nvm.Latency.env_int ~min:1 name default in
   let ops_per_task = env_pos "MIRROR_SCALING_OPS" 40 in
   let seeds = env_pos "MIRROR_SCALING_SEEDS" 4 in
   let pts = F.run_scaling_panel ~ops_per_task ~seeds () in

@@ -4,7 +4,7 @@
        --csv _artifacts/mlint.csv
 
    Walks every .ml under lib/, bin/ and examples/ through the
-   Mirror_slint.Slint rules (L1-L6 errors, W2 warning; see --list-rules)
+   Mirror_slint.Slint rules (L1-L7 errors, W2 warning; see --list-rules)
    and exits non-zero on any error-tier finding that is neither
    pragma-suppressed in the source nor covered by the committed baseline.
    Policy knobs:

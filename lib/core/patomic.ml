@@ -8,10 +8,12 @@
 
     Each replica holds a {!cell}: the value together with a monotonically
     increasing sequence number, updated atomically by a double-word CAS.
-    In this port DWCAS is an [Atomic.t] over an immutable boxed pair with a
+    In this port DWCAS is an atomic word over an immutable boxed pair with a
     content-comparing retry loop — the same atomicity as the hardware
     instruction (both words change together; a failed CAS reports the
-    witnessed value).
+    witnessed value).  The atomic word is field 0 of the variable's own
+    record ({!repv_atomic}), so a read is one dependent load fewer than
+    through a separate [Atomic.t] box.
 
     Invariants maintained (proved as Lemmas 5.3–5.5 in the paper, checked by
     the test suite under deterministic interleavings):
@@ -42,14 +44,24 @@ type discipline =
           buffered durable linearizability (bounded staleness). *)
 
 type 'a t = {
+  mutable repv : 'a cell;
+      (** the volatile replica.  Must stay field 0 and must only be
+          accessed through {!repv_atomic}. *)
   uid : int;  (** pair identity carried on access events *)
-  repv : 'a cell Atomic.t;
   repp : 'a cell Slot.t;
   placement : placement;
   discipline : discipline;
-  valid : bool Atomic.t;  (** false between a crash and this variable's recovery *)
+  mutable valid : bool;
+      (** false between a crash and this variable's recovery.  Written
+          only while the region is down, when no other domain runs. *)
   region : Region.t;
 }
+
+(* OCaml 5.1's [Atomic] primitives act on field 0 of the block they are
+   given, so viewing the record as an [Atomic.t] makes [repv] an atomic
+   field in place — the 5.1 spelling of a 5.4 [[@atomic]] record field. *)
+external repv_atomic : 'a t -> 'a cell Atomic.t = "%identity"
+[@@mlint.allow L7 "repv is field 0 of a mutable record"]
 
 let next_uid = Atomic.make 0
 
@@ -75,14 +87,12 @@ let announce_repv t op ~seq =
 
 (* Double-word CAS on the volatile replica: compare value (physical equality,
    as a hardware word compare) and sequence number, install atomically. *)
-let dwcas_v (a : 'a cell Atomic.t) ~(expected : 'a cell) ~(desired : 'a cell) =
-  let rec go () =
-    let cur = Atomic.get a in
-    if cur.v == expected.v && cur.seq = expected.seq then
-      if Atomic.compare_and_set a cur desired then true else go ()
-    else false
-  in
-  go ()
+let rec dwcas_v t ~(expected : 'a cell) ~(desired : 'a cell) =
+  let cur = Atomic.get (repv_atomic t) in
+  if cur.v == expected.v && cur.seq = expected.seq then
+    Atomic.compare_and_set (repv_atomic t) cur desired
+    || dwcas_v t ~expected ~desired
+  else false
 
 let make ?(placement = Dram) ?(discipline = Strict) ?(persist = true) ?line
     region v =
@@ -111,22 +121,14 @@ let make ?(placement = Dram) ?(discipline = Strict) ?(persist = true) ?line
       region c
   in
   let t =
-    {
-      uid;
-      repv = Atomic.make c;
-      repp;
-      placement;
-      discipline;
-      valid = Atomic.make true;
-      region;
-    }
+    { repv = c; uid; repp; placement; discipline; valid = true; region }
   in
-  Region.register_volatile region (fun () -> Atomic.set t.valid false);
+  Region.register_volatile region (fun () -> t.valid <- false);
   t
 
 let check t =
   Region.check_up t.region;
-  if not (Atomic.get t.valid) then
+  if not t.valid then
     invalid_arg
       "Patomic: access to a variable that was not recovered after a crash \
        (the tracing routine did not reach it)"
@@ -141,7 +143,7 @@ let read_repv t =
   | Nvmm ->
       s.Stats.nvm_read <- s.Stats.nvm_read + 1;
       Latency.nvm_read ());
-  let c = Atomic.get t.repv in
+  let c = Atomic.get (repv_atomic t) in
   if !Hooks.access_on then announce_repv t Hooks.A_load_repv ~seq:c.seq;
   c
 
@@ -153,7 +155,7 @@ let write_repv t ~expected ~desired =
   | Nvmm ->
       s.Stats.nvm_cas <- s.Stats.nvm_cas + 1;
       Latency.nvm_write ());
-  let ok = dwcas_v t.repv ~expected ~desired in
+  let ok = dwcas_v t ~expected ~desired in
   if ok && !Hooks.access_on then
     announce_repv t Hooks.A_write_repv ~seq:desired.seq;
   ok
@@ -279,8 +281,8 @@ let recover t =
   if Slot.is_lost t.repp then
     invalid_arg "Patomic.recover: persistent replica was never persisted";
   let pc = Slot.peek t.repp in
-  Atomic.set t.repv pc;
-  Atomic.set t.valid true
+  Atomic.set (repv_atomic t) pc;
+  t.valid <- true
 
 (** Read from the persistent space during recovery (the region is down, the
     volatile replica may not be restored yet). *)
@@ -293,11 +295,11 @@ let load_recovery t =
 
 let discipline t = t.discipline
 let line t = Slot.line t.repp
-let seq_v t = (Atomic.get t.repv).seq
+let seq_v t = (Atomic.get (repv_atomic t)).seq
 let seq_p t = (Slot.peek t.repp).seq
 let persisted_seq t = Option.map (fun c -> c.seq) (Slot.persisted_value t.repp)
 let persisted_value t = Option.map (fun c -> c.v) (Slot.persisted_value t.repp)
-let peek_v t = (Atomic.get t.repv).v
+let peek_v t = (Atomic.get (repv_atomic t)).v
 let peek_p t = (Slot.peek t.repp).v
 
 (** The durability invariant, safe to sample concurrently: sequence numbers

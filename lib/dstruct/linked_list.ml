@@ -17,25 +17,32 @@ module Make (P : Mirror_prim.Prim.S) = struct
   and 'v link = { target : 'v node option; marked : bool }
   (** [marked = true] in [n.next] means [n] is logically deleted. *)
 
+  type 'v head = 'v link P.t
+  (** a bare root field: the operations below take it together with the
+      reclamation domain, so a container of many lists (the hash table's
+      bucket array) needs no record per list and no view per operation *)
+
   type 'v t = {
-    head : 'v link P.t;  (** the persistent root of the structure *)
+    head : 'v head;  (** the persistent root of the structure *)
     ebr : Mirror_core.Ebr.t;
   }
+
+  let make_head () : 'v head = P.make { target = None; marked = false }
 
   let create ?ebr () =
     let ebr =
       match ebr with Some e -> e | None -> Mirror_core.Ebr.create ()
     in
-    { head = P.make { target = None; marked = false }; ebr }
+    { head = make_head (); ebr }
 
   (* -- traversal ---------------------------------------------------------- *)
 
-  (* [find t k] returns [(pred_field, pred_link, curr_opt)] where [curr_opt]
-     is the first unmarked node with key >= k, [pred_field] the link field of
-     its unmarked predecessor (or the head) and [pred_link] the exact link
-     box read there (the CAS witness).  Marked nodes encountered on the way
-     are physically unlinked. *)
-  let rec find t k =
+  (* [find ebr head k] returns [(pred_field, pred_link, curr_opt)] where
+     [curr_opt] is the first unmarked node with key >= k, [pred_field] the
+     link field of its unmarked predecessor (or the head) and [pred_link]
+     the exact link box read there (the CAS witness).  Marked nodes
+     encountered on the way are physically unlinked. *)
+  let rec find ebr head k =
     let rec walk (pred_field : 'v link P.t) (pred_link : 'v link) =
       match pred_link.target with
       | None -> (pred_field, pred_link, None)
@@ -45,20 +52,20 @@ module Make (P : Mirror_prim.Prim.S) = struct
             (* curr is logically deleted: unlink it *)
             let repl = { target = curr_link.target; marked = false } in
             if P.cas pred_field ~expected:pred_link ~desired:repl then begin
-              Mirror_core.Ebr.retire t.ebr (fun () -> ());
+              Mirror_core.Ebr.retire ebr (fun () -> ());
               walk pred_field repl
             end
-            else find t k (* pred changed under us: restart *)
+            else find ebr head k (* pred changed under us: restart *)
           end
           else if curr.key >= k then (pred_field, pred_link, Some curr)
           else walk curr.next curr_link
     in
-    walk t.head (P.load_t t.head)
+    walk head (P.load_t head)
 
   (* -- operations --------------------------------------------------------- *)
 
-  let contains t k =
-    Mirror_core.Ebr.enter t.ebr;
+  let contains_at ebr head k =
+    Mirror_core.Ebr.enter ebr;
     (* wait-free traversal: skip marked nodes without unlinking.  [field] is
        where the current link [l] was read: when the walk decides "absent",
        that link is the deciding observation, and it must be persisted
@@ -85,12 +92,12 @@ module Make (P : Mirror_prim.Prim.S) = struct
             not cl.marked
           end
     in
-    let r = walk t.head (P.load_t t.head) in
-    Mirror_core.Ebr.exit t.ebr;
+    let r = walk head (P.load_t head) in
+    Mirror_core.Ebr.exit ebr;
     r
 
-  let find_opt t k =
-    Mirror_core.Ebr.enter t.ebr;
+  let find_opt_at ebr head k =
+    Mirror_core.Ebr.enter ebr;
     let rec walk (field : 'v link P.t) (l : 'v link) =
       match l.target with
       | None ->
@@ -108,14 +115,14 @@ module Make (P : Mirror_prim.Prim.S) = struct
             if cl.marked then None else Some curr.value
           end
     in
-    let r = walk t.head (P.load_t t.head) in
-    Mirror_core.Ebr.exit t.ebr;
+    let r = walk head (P.load_t head) in
+    Mirror_core.Ebr.exit ebr;
     r
 
-  let insert t k v =
-    Mirror_core.Ebr.enter t.ebr;
+  let insert_at ebr head k v =
+    Mirror_core.Ebr.enter ebr;
     let rec attempt () =
-      let pred_field, pred_link, curr = find t k in
+      let pred_field, pred_link, curr = find ebr head k in
       match curr with
       | Some c when c.key = k ->
           (* key present: the deciding reads are the link into [c] (its
@@ -146,13 +153,13 @@ module Make (P : Mirror_prim.Prim.S) = struct
           else attempt ()
     in
     let r = attempt () in
-    Mirror_core.Ebr.exit t.ebr;
+    Mirror_core.Ebr.exit ebr;
     r
 
-  let remove t k =
-    Mirror_core.Ebr.enter t.ebr;
+  let remove_at ebr head k =
+    Mirror_core.Ebr.enter ebr;
     let rec attempt () =
-      let pred_field, pred_link, curr = find t k in
+      let pred_field, pred_link, curr = find ebr head k in
       match curr with
       | None ->
           (* absent: the deciding observation is [pred_field]'s link jumping
@@ -181,19 +188,24 @@ module Make (P : Mirror_prim.Prim.S) = struct
               (if
                  P.cas pred_field ~expected:pred_link
                    ~desired:{ target = c_link.target; marked = false }
-               then Mirror_core.Ebr.retire t.ebr (fun () -> ()));
+               then Mirror_core.Ebr.retire ebr (fun () -> ()));
               true
             end
             else attempt ()
           end
     in
     let r = attempt () in
-    Mirror_core.Ebr.exit t.ebr;
+    Mirror_core.Ebr.exit ebr;
     r
+
+  let contains t k = contains_at t.ebr t.head k
+  let find_opt t k = find_opt_at t.ebr t.head k
+  let insert t k v = insert_at t.ebr t.head k v
+  let remove t k = remove_at t.ebr t.head k
 
   (* -- inspection (tests; not concurrent-safe) ----------------------------- *)
 
-  let to_list t =
+  let to_list_at head =
     let rec go acc (l : 'v link) =
       match l.target with
       | None -> List.rev acc
@@ -202,8 +214,9 @@ module Make (P : Mirror_prim.Prim.S) = struct
           let acc = if nl.marked then acc else (n.key, n.value) :: acc in
           go acc nl
     in
-    go [] (P.load_t t.head)
+    go [] (P.load_t head)
 
+  let to_list t = to_list_at t.head
   let size t = List.length (to_list t)
 
   (* -- weakly consistent iteration (live traversal; like a Java CHM
@@ -241,8 +254,8 @@ module Make (P : Mirror_prim.Prim.S) = struct
 
   (* -- recovery (the paper's tracing routine, §4.3.3) ---------------------- *)
 
-  let recover t =
-    P.recover t.head;
+  let recover_at head =
+    P.recover head;
     let rec go (l : 'v link) =
       match l.target with
       | Some m ->
@@ -250,5 +263,7 @@ module Make (P : Mirror_prim.Prim.S) = struct
           go (P.load_recovery m.next)
       | None -> ()
     in
-    go (P.load_recovery t.head)
+    go (P.load_recovery head)
+
+  let recover t = recover_at t.head
 end

@@ -38,4 +38,21 @@ module Make (P : Mirror_prim.Prim.S) : sig
   val recover : 'v t -> unit
   (** The paper's tracing routine: restore every reachable field's volatile
       replica from persistent space (no-op for non-Mirror primitives). *)
+
+  (** {1 Bare heads}
+
+      The same operations over a bare root field and an explicit
+      reclamation domain, for containers of many lists: the hash table
+      keeps its bucket heads inline in one array with one shared
+      {!Mirror_core.Ebr.t}, and an operation allocates no list view. *)
+
+  type 'v head
+
+  val make_head : unit -> 'v head
+  val contains_at : Mirror_core.Ebr.t -> 'v head -> int -> bool
+  val find_opt_at : Mirror_core.Ebr.t -> 'v head -> int -> 'v option
+  val insert_at : Mirror_core.Ebr.t -> 'v head -> int -> 'v -> bool
+  val remove_at : Mirror_core.Ebr.t -> 'v head -> int -> bool
+  val to_list_at : 'v head -> (int * 'v) list
+  val recover_at : 'v head -> unit
 end

@@ -51,9 +51,16 @@ let profile name =
   | Some p -> p
   | None -> invalid_arg ("Latency.profile: unknown platform " ^ name)
 
-let env_int name fallback =
+let parse_int ~name ~min s =
+  match int_of_string_opt s with
+  | None -> invalid_arg (Printf.sprintf "%s: %S is not an integer" name s)
+  | Some i when i < min ->
+      invalid_arg (Printf.sprintf "%s: %d is below the minimum %d" name i min)
+  | Some i -> i
+
+let env_int ?(min = 0) name fallback =
   match Sys.getenv_opt name with
-  | Some s -> ( match int_of_string_opt s with Some i -> i | None -> fallback)
+  | Some s -> parse_int ~name ~min s
   | None -> fallback
 
 let config =

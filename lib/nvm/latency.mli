@@ -26,6 +26,16 @@ val profiles : (string * config) list
 val profile : string -> config
 (** @raise Invalid_argument on unknown profile names. *)
 
+val parse_int : name:string -> min:int -> string -> int
+(** Parse the value of configuration variable [name].
+    @raise Invalid_argument naming [name] when the value is not an integer
+    or is below [min]. *)
+
+val env_int : ?min:int -> string -> int -> int
+(** [env_int name fallback]: the environment variable [name] through
+    {!parse_int} ([min] defaults to [0]), or [fallback] when it is unset.
+    A malformed value raises; it never falls back silently. *)
+
 val get_config : unit -> config
 val set_config : config -> unit
 

@@ -544,8 +544,10 @@ let rec quiesce t =
 
 (* -- runtime eviction ---------------------------------------------------- *)
 
+let evicting t = t.runtime_evict_prob > 0.
+
 let maybe_evict t (persist : unit -> unit) =
-  if t.runtime_evict_prob > 0. then begin
+  if evicting t then begin
     Mutex.lock t.mutex;
     let hit = Random.State.float t.rng 1.0 < t.runtime_evict_prob in
     Mutex.unlock t.mutex;

@@ -130,6 +130,10 @@ val fence : t -> unit
 val pending_count : t -> int
 (** Total pending write-backs across all domains (introspection). *)
 
+val evicting : t -> bool
+(** Whether the region simulates runtime eviction at all: callers test it
+    before building the persist action for {!maybe_evict}. *)
+
 val maybe_evict : t -> (unit -> unit) -> unit
 (** Run the persist action with the region's runtime eviction probability. *)
 

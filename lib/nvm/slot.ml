@@ -20,6 +20,9 @@ type 'a entry = { v : 'a; ver : int; ep : int }
     Crash recovery keeps only entries tagged [<= Region.durable_epoch]. *)
 
 type 'a t = {
+  mutable current : 'a entry;
+      (** the coherent view.  Must stay field 0 and must only be accessed
+          through {!current_atomic}. *)
   region : Region.t;
   uid : int;  (** global location identity, for access-event attribution *)
   pair : int;  (** owning Mirror pair uid, [-1] when not a replica *)
@@ -39,19 +42,27 @@ type 'a t = {
       (** value-seq extractor for access events: Mirror passes the cell's
           sequence number so slot events and replica events share one
           namespace; plain slots fall back to the internal line version *)
-  current : 'a entry Atomic.t;
   persisted : 'a entry list Atomic.t;
       (** media history, newest (max [ver]) first, kept as the Pareto front
           over (version high, epoch low): an entry is dropped once another
-          entry has both [ver >=] and [ep <=] it.  Strict slots (all
-          [ep = 0]) collapse to at most one entry — the old single
-          [persisted] word.  Buffered slots keep the older durable entry
-          alive until the newer entry's epoch commits, so a crash can roll
-          back to the durable cut. *)
-  lost : bool Atomic.t;
+          entry has both [ver >=] and [ep <=] it, or once a newer entry
+          from a committed epoch ([<= Region.durable_epoch]) exists.
+          Strict slots (all [ep = 0]) collapse to at most one entry — the
+          old single [persisted] word.  Buffered slots keep the older
+          durable entry alive until the newer entry's epoch commits, so a
+          crash can roll back to the durable cut. *)
+  mutable lost : bool;
       (** set when a crash hits a slot that was never persisted: its
-          post-crash content is garbage, and any access is a detected bug *)
+          post-crash content is garbage, and any access is a detected bug.
+          Written only while the region is down, when no other domain
+          runs. *)
 }
+
+(* OCaml 5.1's [Atomic] primitives act on field 0 of the block they are
+   given: [current] is an atomic field in place, one dependent load
+   fewer than a separate [Atomic.t] box. *)
+external current_atomic : 'a t -> 'a entry Atomic.t = "%identity"
+[@@mlint.allow L7 "current is field 0 of a mutable record"]
 
 let next_uid = Atomic.make 0
 
@@ -78,22 +89,58 @@ let announce t op ~seq =
       a_protocol = Hooks.in_protocol ();
     }
 
+(* The helpers below are top-level rather than local closures: they run on
+   every write-back, and a closure would be allocated on each. *)
+
+(* Some entry of [l] has [ver >=] and [ep <=] those of [e]. *)
+let rec covers e = function
+  | [] -> false
+  | p :: rest -> (p.ver >= e.ver && p.ep <= e.ep) || covers e rest
+
+(* [l] (newest first) with [e] inserted by version and the entries [e]
+   dominates ([ver <=], [ep >=]) dropped: those are exactly the entries
+   after [e]'s position whose epoch is not older than [e]'s. *)
+let rec insert_entry e = function
+  | p :: rest when p.ver > e.ver -> p :: insert_entry e rest
+  | rest -> e :: older_epochs e rest
+
+and older_epochs e = function
+  | [] -> []
+  | p :: rest when p.ep < e.ep -> p :: older_epochs e rest
+  | _ :: rest -> older_epochs e rest
+
+(* [l] (newest first) without every committed entry ([ep <= de]) that
+   follows a committed one; a list with nothing to drop is returned as
+   is, unallocated. *)
+let rec prune_committed de seen l =
+  match l with
+  | [] -> l
+  | p :: rest ->
+      let committed = p.ep <= de in
+      if committed && seen then prune_committed de true rest
+      else
+        let rest' = prune_committed de (seen || committed) rest in
+        if rest' == rest then l else p :: rest'
+
 (* Write-backs stay monotone per (version, epoch): an offer is dropped when
    the front already dominates it (an entry with [ver >=] and [ep <=]);
    otherwise it joins the front and evicts the entries it dominates.  On
-   strict slots (all [ep = 0]) this is exactly the old max-version rule. *)
+   strict slots (all [ep = 0]) this is exactly the old max-version rule.
+
+   Among entries from committed epochs ([ep <= durable_epoch]) only the
+   newest is kept: a crash restores nothing older, and every elision check
+   an older one answers ([ver >=] a snapshot from a younger, uncommitted
+   epoch) the newer one answers too.  So a buffered slot re-persisted in
+   every epoch keeps at most two entries.  A stale [durable_epoch] read
+   only prunes less: the durable cut never moves back. *)
 let rec persist_monotone t (e : 'a entry) =
   let old = Atomic.get t.persisted in
-  if List.exists (fun p -> p.ver >= e.ver && p.ep <= e.ep) old then ()
-  else begin
-    let kept = List.filter (fun p -> not (p.ver <= e.ver && p.ep >= e.ep)) old in
-    let rec insert = function
-      | p :: rest when p.ver > e.ver -> p :: insert rest
-      | rest -> e :: rest
+  if not (covers e old) then
+    let front =
+      prune_committed (Region.durable_epoch t.region) false (insert_entry e old)
     in
-    if not (Atomic.compare_and_set t.persisted old (insert kept)) then
+    if not (Atomic.compare_and_set t.persisted old front) then
       persist_monotone t e
-  end
 
 let newest_persisted t =
   match Atomic.get t.persisted with [] -> None | p :: _ -> Some p
@@ -106,6 +153,7 @@ let make ?(persist = false) ?(charge_copy = false) ?(pair = -1)
   let e = { v; ver = 0; ep = 0 } in
   let t =
     {
+      current = e;
       region;
       uid = Atomic.fetch_and_add next_uid 1;
       pair;
@@ -116,13 +164,12 @@ let make ?(persist = false) ?(charge_copy = false) ?(pair = -1)
         | Some l -> Region.line_home l
         | None -> Hooks.tid ());
       seq_of;
-      current = Atomic.make e;
       persisted = Atomic.make (if persist then [ e ] else []);
-      lost = Atomic.make false;
+      lost = false;
     }
   in
   let reset ~persist_first =
-    if persist_first then persist_monotone t (Atomic.get t.current);
+    if persist_first then persist_monotone t (Atomic.get (current_atomic t));
     (* the durable cut: entries from epochs the durable slot does not
        cover are discarded even if they physically reached the media —
        they may be part of an inconsistent (torn-epoch) state *)
@@ -132,12 +179,12 @@ let make ?(persist = false) ?(charge_copy = false) ?(pair = -1)
     match List.filter (fun p -> p.ep <= de) hist with
     | [] ->
         Atomic.set t.persisted [];
-        Atomic.set t.lost true;
+        t.lost <- true;
         if rolled_back && !Hooks.access_on then
           announce t Hooks.A_rollback ~seq:(-1)
     | p :: _ ->
         Atomic.set t.persisted [ p ];
-        Atomic.set t.current p;
+        Atomic.set (current_atomic t) p;
         if rolled_back && !Hooks.access_on then
           announce t Hooks.A_rollback ~seq:(entry_seq t p)
   in
@@ -147,7 +194,7 @@ let make ?(persist = false) ?(charge_copy = false) ?(pair = -1)
       (* line membership: the line's write-back persists this slot's
          current content; its crash reset shares the line's survival draw *)
       Region.line_add_member region l
-        ~persist:(fun () -> persist_monotone t (Atomic.get t.current))
+        ~persist:(fun () -> persist_monotone t (Atomic.get (current_atomic t)))
         ~reset);
   let coalesced_birth =
     charge_copy && persist
@@ -186,7 +233,7 @@ let make ?(persist = false) ?(charge_copy = false) ?(pair = -1)
 
 let check t =
   Region.check_up t.region;
-  if Atomic.get t.lost then
+  if t.lost then
     invalid_arg
       "Mirror_nvm.Slot: reading a slot whose content was lost in a crash \
        (never persisted): the recovery procedure reached unrecoverable data"
@@ -210,9 +257,47 @@ let load t =
   s.Stats.nvm_read <- s.Stats.nvm_read + 1;
   Latency.nvm_read ();
   charge_remote t;
-  let e = Atomic.get t.current in
+  let e = Atomic.get (current_atomic t) in
   if !Hooks.access_on then announce t Hooks.A_load ~seq:(entry_seq t e);
   e.v
+
+(* Spontaneous write-back of a fresh write, with the region's runtime
+   eviction probability.  Callers test {!Region.evicting} first, so the
+   closure is only built on regions that simulate eviction. *)
+let evict t e =
+  Region.maybe_evict t.region (fun () ->
+      match t.line with
+      | Some l -> Region.line_persist_members l
+      | None -> persist_monotone t e)
+
+(* The write loops: retry the install until the CAS on [current] lands.
+   Top-level, so a write allocates only its entry. *)
+let rec store_loop t v =
+  let cur = Atomic.get (current_atomic t) in
+  let e = { v; ver = cur.ver + 1; ep = write_epoch t } in
+  if Atomic.compare_and_set (current_atomic t) cur e then begin
+    if !Hooks.access_on then announce t Hooks.A_store ~seq:(entry_seq t e);
+    if Region.evicting t.region then evict t e
+  end
+  else store_loop t v
+
+let rec cas_loop t expect desired =
+  let cur = Atomic.get (current_atomic t) in
+  if expect cur.v then begin
+    let e = { v = desired; ver = cur.ver + 1; ep = write_epoch t } in
+    if Atomic.compare_and_set (current_atomic t) cur e then begin
+      if !Hooks.access_on then
+        announce t (Hooks.A_cas true) ~seq:(entry_seq t e);
+      if Region.evicting t.region then evict t e;
+      (true, cur.v)
+    end
+    else cas_loop t expect desired
+  end
+  else begin
+    if !Hooks.access_on then
+      announce t (Hooks.A_cas false) ~seq:(entry_seq t cur);
+    (false, cur.v)
+  end
 
 (** Unconditional store.  Versions stay monotone under concurrency. *)
 let store t v =
@@ -223,19 +308,7 @@ let store t v =
   s.Stats.nvm_write <- s.Stats.nvm_write + 1;
   Latency.nvm_write ();
   charge_remote t;
-  let rec go () =
-    let cur = Atomic.get t.current in
-    let e = { v; ver = cur.ver + 1; ep = write_epoch t } in
-    if Atomic.compare_and_set t.current cur e then begin
-      if !Hooks.access_on then announce t Hooks.A_store ~seq:(entry_seq t e);
-      Region.maybe_evict t.region (fun () ->
-          match t.line with
-          | Some l -> Region.line_persist_members l
-          | None -> persist_monotone t e)
-    end
-    else go ()
-  in
-  go ()
+  store_loop t v
 
 (** Compare-and-swap where the caller decides equality via [expect] (physical
     equality for pointers, content equality for Mirror's double-word cells).
@@ -249,28 +322,7 @@ let cas_pred t ~(expect : 'a -> bool) ~(desired : 'a) : bool * 'a =
   s.Stats.nvm_cas <- s.Stats.nvm_cas + 1;
   Latency.nvm_write ();
   charge_remote t;
-  let rec go () =
-    let cur = Atomic.get t.current in
-    if expect cur.v then begin
-      let e = { v = desired; ver = cur.ver + 1; ep = write_epoch t } in
-      if Atomic.compare_and_set t.current cur e then begin
-        if !Hooks.access_on then
-          announce t (Hooks.A_cas true) ~seq:(entry_seq t e);
-        Region.maybe_evict t.region (fun () ->
-            match t.line with
-            | Some l -> Region.line_persist_members l
-            | None -> persist_monotone t e);
-        (true, cur.v)
-      end
-      else go ()
-    end
-    else begin
-      if !Hooks.access_on then
-        announce t (Hooks.A_cas false) ~seq:(entry_seq t cur);
-      (false, cur.v)
-    end
-  in
-  go ()
+  cas_loop t expect desired
 
 (** Plain pointer-equality CAS. *)
 let cas t ~expected ~desired =
@@ -283,7 +335,7 @@ let cas t ~expected ~desired =
 let is_dirty t =
   match Atomic.get t.persisted with
   | [] -> true
-  | p :: _ -> p.ver < (Atomic.get t.current).ver
+  | p :: _ -> p.ver < (Atomic.get (current_atomic t)).ver
 
 (** [clwb]: record a write-back of the line's current content.  The value is
     guaranteed persistent only once a subsequent {!Region.fence} completes,
@@ -311,7 +363,7 @@ let flush t =
     | Some l -> Region.mark_line_flushed t.region l
     | None -> ());
     if !Hooks.access_on then
-      announce t Hooks.A_flush_elided ~seq:(entry_seq t (Atomic.get t.current))
+      announce t Hooks.A_flush_elided ~seq:(entry_seq t (Atomic.get (current_atomic t)))
   end
   else
     match t.line with
@@ -324,7 +376,7 @@ let flush t =
         s.Stats.flush_coalesced <- s.Stats.flush_coalesced + 1;
         if !Hooks.access_on then
           announce t Hooks.A_flush_coalesced
-            ~seq:(entry_seq t (Atomic.get t.current))
+            ~seq:(entry_seq t (Atomic.get (current_atomic t)))
     | Some l ->
         Hooks.persist_point Hooks.Flush;
         let s = Stats.get () in
@@ -333,14 +385,14 @@ let flush t =
         charge_remote t;
         Region.mark_line_flushed t.region l;
         if !Hooks.access_on then
-          announce t Hooks.A_flush ~seq:(entry_seq t (Atomic.get t.current))
+          announce t Hooks.A_flush ~seq:(entry_seq t (Atomic.get (current_atomic t)))
     | None ->
         Hooks.persist_point Hooks.Flush;
         let s = Stats.get () in
         s.Stats.flush <- s.Stats.flush + 1;
         Latency.flush ();
         charge_remote t;
-        let snapshot = Atomic.get t.current in
+        let snapshot = Atomic.get (current_atomic t) in
         Region.add_pending t.region (fun () -> persist_monotone t snapshot);
         if !Hooks.access_on then
           announce t Hooks.A_flush ~seq:(entry_seq t snapshot)
@@ -352,10 +404,7 @@ let flush t =
    beat the advance to it). *)
 let flush_snapshot t snapshot =
   if
-    Region.elision t.region
-    && List.exists
-         (fun p -> p.ver >= snapshot.ver && p.ep <= snapshot.ep)
-         (Atomic.get t.persisted)
+    Region.elision t.region && covers snapshot (Atomic.get t.persisted)
   then begin
     Hooks.persist_point Hooks.Flush_elided;
     let s = Stats.get () in
@@ -387,10 +436,10 @@ let persist_deferred t =
     let s = Stats.get () in
     s.Stats.flush_elided <- s.Stats.flush_elided + 1;
     if !Hooks.access_on then
-      announce t Hooks.A_flush_elided ~seq:(entry_seq t (Atomic.get t.current))
+      announce t Hooks.A_flush_elided ~seq:(entry_seq t (Atomic.get (current_atomic t)))
   end
   else begin
-    let snapshot = Atomic.get t.current in
+    let snapshot = Atomic.get (current_atomic t) in
     if !Hooks.access_on then
       announce t Hooks.A_persist_deferred ~seq:(entry_seq t snapshot);
     Region.record_deferred t.region ~uid:t.uid ~ver:snapshot.ver
@@ -402,11 +451,11 @@ let persist_deferred t =
     persists everything it writes before normal operation resumes).  Also
     heals a lost slot by overwriting its garbage. *)
 let recover_store t v =
-  let cur = Atomic.get t.current in
+  let cur = Atomic.get (current_atomic t) in
   let e = { v; ver = cur.ver + 1; ep = 0 } in
-  Atomic.set t.current e;
+  Atomic.set (current_atomic t) e;
   Atomic.set t.persisted [ e ];
-  Atomic.set t.lost false;
+  t.lost <- false;
   if !Hooks.access_on then
     announce t Hooks.A_recovery_write ~seq:(entry_seq t e)
 
@@ -423,9 +472,10 @@ let durable_value t =
   | p :: _ -> Some p.v
 
 (** The coherent (cache) view, without charging costs — test-only. *)
-let peek t = (Atomic.get t.current).v
+let peek t = (Atomic.get (current_atomic t)).v
 
-let is_lost t = Atomic.get t.lost
+let is_lost t = t.lost
+let history_length t = List.length (Atomic.get t.persisted)
 let region t = t.region
 let uid t = t.uid
 let pair t = t.pair

@@ -92,6 +92,11 @@ val durable_value : 'a t -> 'a option
     persisted entry whose epoch is committed ([<= Region.durable_epoch]).
     Equals {!persisted_value} on strict slots. *)
 
+val history_length : 'a t -> int
+(** Entries in the persisted media history (introspection): at most one on
+    a strict slot; on a buffered slot at most the newest committed entry
+    plus the entries of uncommitted epochs. *)
+
 val peek : 'a t -> 'a
 (** The coherent view without cost accounting — tests and recovery only. *)
 

@@ -40,6 +40,11 @@
     - {b L6} recovery honesty — a swallowed [Recovery_corrupt] (caught
       without re-raising) anywhere, or a catch-all [with _ ->] handler
       inside a function whose name contains "recover".
+    - {b L7} unchecked casts — an [external ... = "%identity"] or an
+      [Obj.magic] under lib/, bin/ or examples/.  Such a cast bypasses
+      the type system (the in-record atomic fields of [Patomic] and
+      [Slot] are the sanctioned uses), so every one must carry a
+      reasoned [mlint.allow L7] pragma.
     - {b W2} (warning tier) line placement — a record literal allocating
       two or more fields with [P.make] where [P.make_near] would
       co-locate the siblings on one cache line.
@@ -51,9 +56,9 @@
     Suppressed findings stay in the report with their reason so the CLI
     can count them per rule. *)
 
-type rule = L1 | L2 | L3 | L4 | L5 | L6 | W2
+type rule = L1 | L2 | L3 | L4 | L5 | L6 | L7 | W2
 
-let all_rules = [ L1; L2; L3; L4; L5; L6; W2 ]
+let all_rules = [ L1; L2; L3; L4; L5; L6; L7; W2 ]
 
 let rule_id = function
   | L1 -> "L1"
@@ -62,6 +67,7 @@ let rule_id = function
   | L4 -> "L4"
   | L5 -> "L5"
   | L6 -> "L6"
+  | L7 -> "L7"
   | W2 -> "W2"
 
 (* [substrate] is the self-documenting spelling for opting a handmade
@@ -73,6 +79,7 @@ let rule_of_id = function
   | "L4" -> Some L4
   | "L5" -> Some L5
   | "L6" -> Some L6
+  | "L7" -> Some L7
   | "W2" -> Some W2
   | _ -> None
 
@@ -101,6 +108,9 @@ let rule_doc = function
   | L6 ->
       "recovery honesty: no swallowed Recovery_corrupt, no catch-all \
        exception handler in recovery code"
+  | L7 ->
+      "unchecked casts: every external ... = \"%identity\" and Obj.magic \
+       under lib/, bin/ and examples/ carries a reasoned mlint.allow L7"
   | W2 ->
       "line placement: sibling record fields allocated with P.make where \
        P.make_near would co-locate them on one cache line"
@@ -133,6 +143,7 @@ let substrate_owners =
   [ "lib/nvm"; "lib/core"; "lib/nvmheap"; "lib/psan"; "lib/mcheck" ]
 
 let deterministic_dirs = [ "lib/dstruct"; "lib/prim"; "lib/handmade" ]
+let cast_dirs = [ "lib"; "bin"; "examples" ]
 
 let under dir rel =
   let n = String.length dir in
@@ -142,6 +153,7 @@ let under dir rel =
 
 let owns_substrate rel = List.exists (fun d -> under d rel) substrate_owners
 let deterministic rel = List.exists (fun d -> under d rel) deterministic_dirs
+let cast_checked rel = List.exists (fun d -> under d rel) cast_dirs
 
 (* Region functions that touch the persistence data plane: writing back,
    fencing, line placement and line bookkeeping.  Everything else on
@@ -151,8 +163,8 @@ let region_data_plane =
   [
     "fence"; "place"; "place_near"; "line_add_member"; "line_persist_members";
     "line_in_flight"; "mark_line_flushed"; "record_deferred"; "announce_fence";
-    "announce_epoch"; "advance_to"; "maybe_evict"; "register_slot";
-    "register_volatile";
+    "announce_epoch"; "advance_to"; "evicting"; "maybe_evict";
+    "register_slot"; "register_volatile";
   ]
 
 (* -- parsetree helpers ------------------------------------------------------ *)
@@ -403,6 +415,11 @@ let rec check_ident ctx ~allow lid (loc : Location.t) =
          "data-plane Region access outside the substrate-owning libraries; \
           only lifecycle calls (create/crash/recovery/epoch observers) are \
           legal here");
+  (* L7: [Obj.magic] outside a pragma *)
+  if cast_checked ctx.rel && ends_with ~suffix:[ "Obj"; "magic" ] parts then
+    emit ctx ~allow L7 loc
+      (String.concat "." parts)
+      "unchecked cast: Obj.magic bypasses the type system";
   (* L5: nondeterminism in the replay-deterministic libraries *)
   if deterministic ctx.rel then
     let banned =
@@ -776,6 +793,13 @@ and walk_structure ctx ~allow str =
       | Pstr_eval (e, attrs) ->
           let allow = allows_of attrs @ allow in
           scan_function ctx ~allow ~fname:"" e
+      | Pstr_primitive vd
+        when cast_checked ctx.rel && List.mem "%identity" vd.pval_prim ->
+          emit ctx
+            ~allow:(allows_of vd.pval_attributes @ allow)
+            L7 vd.pval_loc
+            ("external " ^ vd.pval_name.txt)
+            "unchecked cast: an %identity external bypasses the type system"
       | Pstr_module mb -> walk_module ctx ~allow mb.pmb_expr
       | Pstr_recmodule mbs ->
           List.iter (fun mb -> walk_module ctx ~allow mb.pmb_expr) mbs

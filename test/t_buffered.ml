@@ -201,6 +201,42 @@ let test_help_advance_races () =
       vars
   done
 
+(* A buffered slot re-persisted in every epoch keeps a bounded media
+   history: only the newest committed entry plus the uncommitted ones.
+   Pruning must not change what a crash restores. *)
+let test_history_bounded () =
+  let r = Region.create ~epoch_len:1_000 () in
+  let slots = Array.init 4 (fun _ -> Slot.make ~buffered:true r 0) in
+  for i = 1 to 200 do
+    Array.iter
+      (fun s ->
+        Slot.store s i;
+        Slot.persist_deferred s)
+      slots;
+    Region.help_advance r;
+    Array.iter
+      (fun s ->
+        let n = Slot.history_length s in
+        check (n <= 2)
+          (Printf.sprintf "advance %d: history has %d entries" i n))
+      slots
+  done;
+  (* an uncommitted tail the crash must roll back *)
+  Array.iter
+    (fun s ->
+      Slot.store s 201;
+      Slot.persist_deferred s)
+    slots;
+  Array.iter
+    (fun s -> check (Slot.durable_value s = Some 200) "durable cut is 200")
+    slots;
+  Region.crash r;
+  let (_ : bool) = Region.begin_recovery r in
+  Region.mark_recovered r;
+  Array.iter
+    (fun s -> Alcotest.(check int) "crash restores the cut" 200 (Slot.peek s))
+    slots
+
 (* -- 4. bounded staleness under crash torture ---------------------------------- *)
 
 let epoch_len = 8
@@ -302,6 +338,8 @@ let suite =
         Alcotest.test_case "empty help-advance is free" `Quick
           test_help_advance_empty_is_free;
         Alcotest.test_case "help-advance races" `Quick test_help_advance_races;
+        Alcotest.test_case "persisted history stays bounded" `Quick
+          test_history_bounded;
         Alcotest.test_case "crash torture list (buffered)" `Slow
           (torture_buffered Sets.List_ds);
         Alcotest.test_case "crash torture hash (buffered)" `Slow

@@ -213,6 +213,28 @@ let prop_slot_model =
           && Mirror_nvm.Slot.persisted_value s = Some !persisted)
         ops)
 
+(* Configuration values are parsed strictly: a malformed or out-of-range
+   value raises, naming the variable, instead of falling back. *)
+let test_strict_config () =
+  let parse s = Latency.parse_int ~name:"MIRROR_TEST_NS" ~min:0 s in
+  let rejects s =
+    match parse s with
+    | _ -> Alcotest.failf "%S accepted" s
+    | exception Invalid_argument msg ->
+        check
+          (String.length msg >= 14 && String.sub msg 0 14 = "MIRROR_TEST_NS")
+          (Printf.sprintf "%S: message names the variable (%s)" s msg)
+  in
+  rejects "";
+  rejects "abc";
+  rejects "-5";
+  Alcotest.(check int) "in range" 300 (parse "300");
+  (match Latency.parse_int ~name:"MIRROR_SCALING_OPS" ~min:1 "0" with
+  | _ -> Alcotest.fail "0 accepted where the minimum is 1"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "unset falls back" 42
+    (Latency.env_int "MIRROR_TEST_UNSET_VARIABLE" 42)
+
 let suite =
   [
     ( "nvm",
@@ -233,6 +255,7 @@ let suite =
         Alcotest.test_case "stats counting" `Quick test_stats_counting;
         Alcotest.test_case "pending count" `Quick test_pending_count;
         Alcotest.test_case "latency calibration" `Quick test_latency_calibration;
+        Alcotest.test_case "strict config parsing" `Quick test_strict_config;
         QCheck_alcotest.to_alcotest prop_slot_model;
       ] );
   ]

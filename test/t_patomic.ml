@@ -357,6 +357,50 @@ let prop_crash_recover_idempotent =
       Region.mark_recovered r;
       Patomic.load v = expect)
 
+(* -- layout and field-0 atomicity ------------------------------------------ *)
+
+(* Heap words a value owns beyond its region.  The region is untracked, so
+   it holds no closure back to the value and the subtraction is exact. *)
+let own_words x r =
+  Obj.reachable_words (Obj.repr x) - Obj.reachable_words (Obj.repr r)
+
+let test_layout () =
+  let r = Support.fresh_region ~track:false () in
+  let v = Patomic.make r 0 in
+  let w = own_words v r in
+  check (w <= 36) (Printf.sprintf "strict variable: %d words, at most 36" w);
+  let s = Mirror_nvm.Slot.make ~persist:true r 0 in
+  let w = own_words s r in
+  check (w <= 20) (Printf.sprintf "slot: %d words, at most 20" w)
+
+(* Two real domains race on the in-record atomic fields: [repv] through
+   [fetch_add], a slot's [current] through a CAS retry loop.  Every
+   increment must land exactly once. *)
+let test_two_domain_atomicity () =
+  let n = 20_000 in
+  let r = Support.fresh_region () in
+  let v = Patomic.make r 0 in
+  let s = Mirror_nvm.Slot.make ~persist:true r 0 in
+  let rec bump_slot () =
+    let x = Mirror_nvm.Slot.load s in
+    if not (Mirror_nvm.Slot.cas s ~expected:x ~desired:(x + 1)) then
+      bump_slot ()
+  in
+  let body () =
+    for _ = 1 to n do
+      ignore (Patomic.fetch_add v 1);
+      bump_slot ()
+    done
+  in
+  let d = Domain.spawn body in
+  body ();
+  Domain.join d;
+  Alcotest.(check int) "fetch_add count exact" (2 * n) (Patomic.load v);
+  Alcotest.(check int) "slot cas count exact" (2 * n)
+    (Mirror_nvm.Slot.peek s);
+  check (Patomic.lemma54_ok v) "lemma 5.4 holds";
+  check (Patomic.durability_invariant_ok v) "durability invariant holds"
+
 let suite =
   [
     ( "patomic",
@@ -384,6 +428,10 @@ let suite =
           test_helping_completes_stalled_write;
         Alcotest.test_case "exhaustive durable register" `Quick
           test_exhaustive_durable_register;
+        Alcotest.test_case "layout: variable and slot words" `Quick
+          test_layout;
+        Alcotest.test_case "field-0 atomics across two domains" `Quick
+          test_two_domain_atomicity;
         QCheck_alcotest.to_alcotest prop_random_ops_keep_invariants;
         QCheck_alcotest.to_alcotest prop_crash_recover_idempotent;
       ] );

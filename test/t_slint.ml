@@ -221,6 +221,35 @@ let test_w2 () =
     "W2 is warning tier" true
     (S.tier S.W2 = S.Warning)
 
+(* -- L7: unchecked casts ----------------------------------------------------- *)
+
+let l7_bad =
+  {|
+type 'a t = { mutable cur : 'a; id : int }
+
+external cur_atomic : 'a t -> 'a Atomic.t = "%identity"
+
+let coerce x = Obj.magic x
+|}
+
+let l7_ok =
+  {|
+type 'a t = { mutable cur : 'a; id : int }
+
+external cur_atomic : 'a t -> 'a Atomic.t = "%identity"
+[@@mlint.allow L7 "cur is field 0 of a mutable record"]
+
+let coerce x = (Obj.magic x [@mlint.allow L7 "test-only coercion"])
+external length : string -> int = "%string_length"
+|}
+
+let test_l7 () =
+  check_lines "identity external and Obj.magic" S.L7 [ 4; 6 ] (analyze l7_bad);
+  check_lines "pragmas cover both; other externals are fine" S.L7 []
+    (analyze l7_ok);
+  check_lines "clean outside lib/, bin/, examples/" S.L7 []
+    (analyze ~rel:"test/fixture.ml" l7_bad)
+
 (* -- pragma suppression ------------------------------------------------------ *)
 
 let test_pragma_scoped () =
@@ -353,6 +382,7 @@ let suite =
         Alcotest.test_case "L5 determinism fixture + twin" `Quick test_l5;
         Alcotest.test_case "L6 recovery fixture + twin" `Quick test_l6;
         Alcotest.test_case "W2 placement fixture + twin" `Quick test_w2;
+        Alcotest.test_case "L7 cast fixture + twin" `Quick test_l7;
         Alcotest.test_case "pragma: scoped suppression" `Quick
           test_pragma_scoped;
         Alcotest.test_case "pragma: file-level substrate" `Quick
