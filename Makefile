@@ -53,12 +53,12 @@ test-stress: build
 bench:
 	dune exec bench/main.exe
 
-# CI-speed pass that also enforces the committed flush/fence ceilings:
-# exits non-zero if any Mirror algorithm exceeds bench/budgets.csv — the
-# strict per-structure ceilings, the recovery/alloc speedup floors, and the
-# buffered-panel fence ceilings + reduction floors alike.  Panel CSVs
-# (bench_smoke_elision/recovery/alloc/buffered.csv) land next to the main
-# CSV for CI to archive.
+# CI-speed pass that also enforces every row of bench/budgets.csv: exits
+# non-zero if any panel row is past its budget (the figure rows' flush/fence
+# ceilings, the buffered/line/recovery/alloc/scaling floors and ceilings
+# alike) or a budget row is malformed or matches nothing.  The six side
+# panel CSVs (bench_smoke_{elision,buffered,line,recovery,alloc,scaling}.csv)
+# land next to the figure CSV for CI to archive.
 bench-smoke:
 	@mkdir -p $(ARTIFACTS)
 	dune exec bench/main.exe -- --smoke --no-micro --no-ablation \

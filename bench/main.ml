@@ -4,52 +4,31 @@
     Usage:
       dune exec bench/main.exe                    # quick pass, all panels
       dune exec bench/main.exe -- --full          # paper-scale sweep
-      dune exec bench/main.exe -- --panels 6a,6c  # subset
+      dune exec bench/main.exe -- --panels 6a,6c  # figure-panel subset
       dune exec bench/main.exe -- --smoke         # seconds-long CI pass
       dune exec bench/main.exe -- --csv out.csv   # also dump machine-readable rows
       dune exec bench/main.exe -- --no-micro      # skip bechamel microbenches
 
-    Output per row: measured Mops/s (domains timeshare one core here) and
+    Output per row: measured Mops/s (domains timeshare the host's cores) and
     modeled Mops/s (deterministic memory-cost model, ideal scaling) plus the
-    per-operation NVMM event counts that drive the model. *)
+    per-operation NVMM event counts that drive the model.  The side panels
+    (elision, buffered, line, recovery, alloc, scaling) follow, each one
+    table; [--csv FILE] writes the figure rows to FILE and each side panel
+    to <FILE base>_<panel>.csv, and [--budget] gates them all. *)
 
 module F = Mirror_harness.Figures
 module R = Mirror_harness.Runner
+module P = Mirror_harness.Panel
 
 (* -- figure panels ----------------------------------------------------------- *)
 
-let run_figures cfg panel_filter csv_file =
-  let panels =
-    F.all_panels cfg
-    |> List.filter (fun p ->
-           match panel_filter with
-           | [] -> true
-           | ids -> List.mem p.F.id ids)
-  in
-  let csv_out =
-    Option.map
-      (fun f ->
-        let oc = open_out f in
-        output_string oc (F.csv_header ^ "\n");
-        oc)
-      csv_file
-  in
-  let all_rows = ref [] in
-  List.iter
-    (fun p ->
-      Printf.printf "--- panel %s: %s\n%!" p.F.id p.F.descr;
-      let rows = F.run_panel cfg p in
-      all_rows := !all_rows @ rows;
-      List.iter
-        (fun r ->
-          Format.printf "%a@." F.pp_row r;
-          Option.iter
-            (fun oc -> output_string oc (F.row_to_csv r ^ "\n"))
-            csv_out)
-        rows)
-    panels;
-  Option.iter close_out csv_out;
-  !all_rows
+let run_figures cfg panel_filter =
+  F.all_panels cfg
+  |> List.filter (fun p ->
+         match panel_filter with [] -> true | ids -> List.mem p.F.id ids)
+  |> List.concat_map (fun p ->
+         Printf.printf "--- panel %s: %s\n%!" p.F.id p.F.descr;
+         F.run_panel cfg p)
 
 (* -- headline-claim summary ---------------------------------------------------- *)
 
@@ -149,8 +128,8 @@ let ablation_fence_sensitivity () =
 
 (* 2. Helping rate: how often does the Figure-4 helping path fire under
    contention on a single variable?  Driven by the deterministic scheduler
-   — on a one-core box real domains barely overlap, while logical threads
-   preempted at every protocol step contend for real. *)
+   — real domains overlap only as much as the host's cores allow, while
+   logical threads preempted at every protocol step contend for real. *)
 let ablation_helping_rate () =
   print_endline
     "=== ablation: helping-path rate on one contended patomic (schedsim)";
@@ -390,38 +369,11 @@ let run_extensions () =
         let p = Mirror_prim.Prim.by_name region prim_name in
         Mirror_nvm.Stats.reset_all ();
         Mirror_nvm.Latency.set_enabled true;
-        let t0 = Unix.gettimeofday () in
         let ops = run p in
-        let dt = Unix.gettimeofday () -. t0 in
         Mirror_nvm.Latency.set_enabled false;
-        let st = Mirror_nvm.Stats.total () in
-        let fops = float_of_int (max 1 ops) in
-        let per_op =
-          {
-            Mirror_harness.Runner.dram_reads =
-              float_of_int st.Mirror_nvm.Stats.dram_read /. fops;
-            nvm_reads = float_of_int st.Mirror_nvm.Stats.nvm_read /. fops;
-            nvm_writes =
-              float_of_int
-                (st.Mirror_nvm.Stats.nvm_write + st.Mirror_nvm.Stats.nvm_cas)
-              /. fops;
-            flushes = float_of_int st.Mirror_nvm.Stats.flush /. fops;
-            fences = float_of_int st.Mirror_nvm.Stats.fence /. fops;
-            flushes_elided =
-              float_of_int st.Mirror_nvm.Stats.flush_elided /. fops;
-            fences_elided =
-              float_of_int st.Mirror_nvm.Stats.fence_elided /. fops;
-            epoch_advances =
-              float_of_int st.Mirror_nvm.Stats.epoch_advance /. fops;
-            fences_batched =
-              float_of_int st.Mirror_nvm.Stats.fence_batched /. fops;
-            writes_deferred =
-              float_of_int st.Mirror_nvm.Stats.writes_deferred /. fops;
-          }
-        in
-        ignore dt;
+        let per_op = R.per_op_of_stats (Mirror_nvm.Stats.total ()) ~ops in
         Printf.printf "  %s=%6.2f" prim_name
-          (1e3 /. Mirror_harness.Runner.modeled_ns per_op))
+          (1e3 /. R.modeled_ns per_op))
       [ "orig-dram"; "izraelevitz"; "nvtraverse"; "mirror"; "mirror-nvmm" ];
     print_newline ()
   in
@@ -472,602 +424,69 @@ let run_extensions () =
   in
   Array.iter Domain.join doms;
   Mirror_nvm.Latency.set_enabled false;
-  let st = Mirror_nvm.Stats.total () in
-  let fops = float_of_int (4 * per_thread) in
   let per_op =
-    {
-      Mirror_harness.Runner.dram_reads =
-        float_of_int st.Mirror_nvm.Stats.dram_read /. fops;
-      nvm_reads = float_of_int st.Mirror_nvm.Stats.nvm_read /. fops;
-      nvm_writes =
-        float_of_int (st.Mirror_nvm.Stats.nvm_write + st.Mirror_nvm.Stats.nvm_cas)
-        /. fops;
-      flushes = float_of_int st.Mirror_nvm.Stats.flush /. fops;
-      fences = float_of_int st.Mirror_nvm.Stats.fence /. fops;
-      flushes_elided = float_of_int st.Mirror_nvm.Stats.flush_elided /. fops;
-      fences_elided = float_of_int st.Mirror_nvm.Stats.fence_elided /. fops;
-      epoch_advances = float_of_int st.Mirror_nvm.Stats.epoch_advance /. fops;
-      fences_batched = float_of_int st.Mirror_nvm.Stats.fence_batched /. fops;
-      writes_deferred =
-        float_of_int st.Mirror_nvm.Stats.writes_deferred /. fops;
-    }
+    R.per_op_of_stats (Mirror_nvm.Stats.total ()) ~ops:(4 * per_thread)
   in
   Printf.printf "%-8s  hand-made-durable=%6.2f (Friedman et al. PPoPP'18)\n"
-    "queue" (1e3 /. Mirror_harness.Runner.modeled_ns per_op);
+    "queue" (1e3 /. R.modeled_ns per_op);
   print_newline ()
 
-(* -- elision panel ---------------------------------------------------------------- *)
+(* -- side panels and budgets ------------------------------------------------- *)
 
-(* Flush/fence elision on vs off for every Mirror-transformed structure,
-   under the deterministic scheduler (the only place operations genuinely
-   interleave on this one-core box, so the helping/retry paths that elision
-   targets actually fire).  Charged counts are exact and deterministic;
-   elision changes no control flow, so each off/on pair describes the same
-   executions. *)
-let run_elision () =
-  print_endline
-    "=== elision panel: flush/fence elision off vs on (schedsim, 4 logical \
-     threads, contended)";
-  Printf.printf "%-10s %9s %9s | %9s %9s %9s %9s | %8s %8s\n" "structure"
-    "fl/op" "fe/op" "fl/op" "fe/op" "elided-fl" "elided-fe" "fl-sav%" "fe-sav%";
-  Printf.printf "%-10s %19s | %39s |\n" "" "elision off" "elision on";
-  let pts = F.run_elision_panel () in
-  List.iter
-    (fun ds ->
-      let find elide =
-        List.find (fun p -> p.F.e_ds = ds && p.F.e_elide = elide) pts
+(* Every side panel, in print order.  Each is deterministic (schedsim)
+   apart from its wall_ms columns; see the producers in Figures. *)
+let side_panels smoke slots_pin =
+  [
+    (fun () -> F.run_elision_panel ());
+    (fun () -> F.run_buffered_panel ());
+    (fun () ->
+      (* --slots-per-line pins the sweep to [1; n] *)
+      let slots =
+        match slots_pin with
+        | None -> F.line_slots
+        | Some n -> List.sort_uniq compare [ 1; n ]
       in
-      let off = find false and on = find true in
-      let sav a b = if a > 0. then 100. *. (a -. b) /. a else 0. in
-      Printf.printf
-        "%-10s %9.3f %9.3f | %9.3f %9.3f %9.3f %9.3f | %7.1f%% %7.1f%%\n%!" ds
-        off.F.e_flushes off.F.e_fences on.F.e_flushes on.F.e_fences
-        on.F.e_flushes_elided on.F.e_fences_elided
-        (sav off.F.e_flushes on.F.e_flushes)
-        (sav off.F.e_fences on.F.e_fences))
-    F.elision_structures;
-  print_newline ();
-  pts
-
-(* -- buffered panel ---------------------------------------------------------------- *)
-
-(* Epoch-batched persistence vs strict Mirror, under the deterministic
-   scheduler: the same contended workload per (structure, threads) cell,
-   run strict and then buffered at several epoch lengths.  The open epoch
-   is drained before counters are read, so every deferred persist is
-   charged to its run.  See Figures.run_buffered_panel. *)
-let run_buffered () =
-  print_endline
-    "=== buffered panel: epoch-batched persistence vs strict Mirror \
-     (schedsim, contended)";
-  Printf.printf "%-8s %7s %9s %7s | %9s %9s %9s | %8s %8s %9s\n" "structure"
-    "threads" "epoch" "ops" "strict-fe" "buf-fe" "reduce" "adv/op" "batch-fe"
-    "defer/op";
-  let pts = F.run_buffered_panel () in
-  List.iter
-    (fun p ->
-      Printf.printf
-        "%-8s %7d %9d %7d | %9.4f %9.4f %8.1fx | %8.4f %8.4f %9.3f\n%!"
-        p.F.b_ds p.F.b_threads p.F.b_epoch_len p.F.b_ops p.F.b_strict_fences
-        p.F.b_fences p.F.b_fence_reduction p.F.b_epoch_advances
-        p.F.b_fences_batched p.F.b_writes_deferred)
-    pts;
-  print_newline ();
-  pts
-
-(* "epoch256" -> Some 256 under prefix "epoch"; shared by the budget-row
-   parsers below *)
-let prefixed prefix s =
-  let n = String.length prefix in
-  if String.length s > n && String.sub s 0 n = prefix then
-    int_of_string_opt (String.sub s n (String.length s - n))
-  else None
-
-(* Buffered-persistence budgets: rows of the form
-   buffered,epochN,ds,threadsT,max_fences_per_op,min_fence_reduction in
-   bench/budgets.csv gate the buffered panel at epoch length N: the charged
-   fences per op must stay under the ceiling AND the strict/buffered fence
-   ratio must clear the floor.  This is the headline claim of the buffered
-   discipline (>= 5x fewer fences at epoch length 256), enforced on every
-   `make bench-smoke`. *)
-let check_buffered_budgets (pts : F.buffered_point list) budget_file =
-  let budgets =
-    let ic = open_in budget_file in
-    let rec go acc =
-      match input_line ic with
-      | exception End_of_file ->
-          close_in ic;
-          List.rev acc
-      | ln -> (
-          match String.split_on_char ',' (String.trim ln) with
-          | [ "buffered"; ep; ds; thr; max_fe; min_red ] -> (
-              match
-                ( prefixed "epoch" ep,
-                  prefixed "threads" thr,
-                  float_of_string_opt max_fe,
-                  float_of_string_opt min_red )
-              with
-              | Some e, Some t, Some fe, Some red ->
-                  go ((e, ds, t, fe, red) :: acc)
-              | _ -> go acc)
-          | _ -> go acc)
-    in
-    go []
-  in
-  let failures = ref 0 in
-  List.iter
-    (fun (epoch_len, ds, threads, max_fe, min_red) ->
-      match
-        List.find_opt
-          (fun p ->
-            p.F.b_ds = ds && p.F.b_threads = threads
-            && p.F.b_epoch_len = epoch_len)
-          pts
-      with
-      | None -> ()
-      | Some p ->
-          let bad_fe = p.F.b_fences > max_fe in
-          let bad_red = p.F.b_fence_reduction < min_red in
-          if bad_fe || bad_red then begin
-            incr failures;
-            Printf.eprintf
-              "BUDGET EXCEEDED buffered %s epoch=%d threads=%d fences/op \
-               %.4f (max %.4f) reduction %.1fx (min %.1fx)\n"
-              ds epoch_len threads p.F.b_fences max_fe p.F.b_fence_reduction
-              min_red
-          end
-          else
-            Printf.printf
-              "budget ok       buffered %s epoch=%d threads=%d fences/op \
-               %.4f <= %.4f  reduction %.1fx >= %.1fx\n"
-              ds epoch_len threads p.F.b_fences max_fe p.F.b_fence_reduction
-              min_red)
-    budgets;
-  !failures = 0
-
-(* -- line panel ---------------------------------------------------------------- *)
-
-(* Cache-line flush coalescing: the insert-only line panel at every
-   slots-per-line setting (or just [1; n] when --slots-per-line pins one).
-   Each structure's slots=1 row is its own baseline, so the reduction
-   column is self-contained.  See Figures.run_line_panel. *)
-let run_line slots_pin =
-  print_endline
-    "=== line panel: cache-line flush coalescing (schedsim, insert-only, \
-     disjoint key stripes)";
-  Printf.printf "%-10s %6s %7s | %9s %12s %9s | %9s %9s\n" "structure" "slots"
-    "ops" "fl/op" "coalesced/op" "fe/op" "base-fl" "reduce";
-  let slots =
-    match slots_pin with
-    | None -> F.line_slots
-    | Some n -> List.sort_uniq compare [ 1; n ]
-  in
-  let pts = F.run_line_panel ~slots () in
-  List.iter
-    (fun p ->
-      Printf.printf "%-10s %6d %7d | %9.4f %12.4f %9.4f | %9.4f %8.2fx\n%!"
-        p.F.lp_ds p.F.lp_slots p.F.lp_ops p.F.lp_flushes p.F.lp_coalesced
-        p.F.lp_fences p.F.lp_baseline_flushes p.F.lp_reduction)
-    pts;
-  print_newline ();
-  pts
-
-(* Line-coalescing budgets: rows of the form line,slotsN,ds,min_reduction
-   in bench/budgets.csv gate the line panel at N slots per line: the
-   slots=1 / slots=N charged-flush ratio must clear the floor.  This is
-   the headline claim of the line map (multi-field inserts coalesce to
-   one flush), enforced on every `make bench-smoke`.  When running under
-   GitHub Actions ($GITHUB_STEP_SUMMARY set) the per-row budget-vs-
-   measured deltas are also appended to the job summary as a markdown
-   table. *)
-let check_line_budgets (pts : F.line_point list) budget_file =
-  let budgets =
-    let ic = open_in budget_file in
-    let rec go acc =
-      match input_line ic with
-      | exception End_of_file ->
-          close_in ic;
-          List.rev acc
-      | ln -> (
-          match String.split_on_char ',' (String.trim ln) with
-          | [ "line"; sl; ds; min_red ] -> (
-              match (prefixed "slots" sl, float_of_string_opt min_red) with
-              | Some s, Some red -> go ((s, ds, red) :: acc)
-              | _ -> go acc)
-          | _ -> go acc)
-    in
-    go []
-  in
-  let failures = ref 0 in
-  let summary = ref [] in
-  List.iter
-    (fun (slots, ds, min_red) ->
-      match
-        List.find_opt
-          (fun p -> p.F.lp_ds = ds && p.F.lp_slots = slots)
-          pts
-      with
-      | None -> ()
-      | Some p ->
-          summary := (ds, slots, p.F.lp_reduction, min_red) :: !summary;
-          if p.F.lp_reduction < min_red then begin
-            incr failures;
-            Printf.eprintf
-              "BUDGET EXCEEDED line %s slots=%d flush reduction %.2fx < \
-               %.2fx (%.4f -> %.4f fl/op)\n"
-              ds slots p.F.lp_reduction min_red p.F.lp_baseline_flushes
-              p.F.lp_flushes
-          end
-          else
-            Printf.printf
-              "budget ok       line %s slots=%d flush reduction %.2fx >= \
-               %.2fx (%.4f -> %.4f fl/op)\n"
-              ds slots p.F.lp_reduction min_red p.F.lp_baseline_flushes
-              p.F.lp_flushes)
-    budgets;
-  (match Sys.getenv_opt "GITHUB_STEP_SUMMARY" with
-  | Some path when !summary <> [] ->
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      output_string oc "### Line-coalescing budgets\n\n";
-      output_string oc
-        "| structure | slots/line | measured reduction | budget floor | \
-         delta |\n|---|---|---|---|---|\n";
-      List.iter
-        (fun (ds, slots, measured, floor) ->
-          Printf.fprintf oc "| %s | %d | %.2fx | %.2fx | %+.2f |\n" ds slots
-            measured floor (measured -. floor))
-        (List.rev !summary);
-      output_string oc "\n";
-      close_out oc
-  | _ -> ());
-  !failures = 0
-
-(* -- recovery panel ---------------------------------------------------------------- *)
-
-(* Parallel heap recovery: wall clock with real domains (honest but flat on
-   a one-core box) next to the modeled critical-path latency from a
-   deterministic-scheduler run (machine-independent; what the speedup
-   budget gates).  See Figures.run_recovery_panel. *)
-let run_recovery smoke =
-  print_endline
-    "=== recovery panel: parallel heap recovery (wall ms, modeled critical \
-     path)";
-  let live_points = if smoke then [ 2_000; 20_000 ] else [ 10_000; 100_000 ] in
-  let pts = F.run_recovery_panel ~live_points () in
-  Printf.printf "%-8s %9s %8s %10s %10s %8s %9s %8s %8s\n" "shape" "live"
-    "domains" "wall-ms" "model-ms" "speedup" "marked" "swept" "steals";
-  List.iter
-    (fun p ->
-      let base =
-        List.find
-          (fun q ->
-            q.F.rp_shape = p.F.rp_shape
-            && q.F.rp_live = p.F.rp_live
-            && q.F.rp_domains = 1)
-          pts
+      F.run_line_panel ~slots ());
+    (fun () ->
+      let live_points =
+        if smoke then [ 2_000; 20_000 ] else [ 10_000; 100_000 ]
       in
-      let speedup =
-        if p.F.rp_model_ms > 0. then base.F.rp_model_ms /. p.F.rp_model_ms
-        else 0.
-      in
-      Printf.printf "%-8s %9d %8d %10.2f %10.2f %7.2fx %9d %8d %8d\n%!"
-        p.F.rp_shape p.F.rp_live p.F.rp_domains p.F.rp_wall_ms p.F.rp_model_ms
-        speedup p.F.rp_marked p.F.rp_swept p.F.rp_steals)
-    pts;
-  print_newline ();
-  pts
+      F.run_recovery_panel ~live_points ());
+    (fun () -> F.run_alloc_panel ());
+    (fun () ->
+      (* depth knobs for the nightly deep run; the defaults are what the
+         committed budget floors were measured at.  A malformed or
+         non-positive value raises, naming the variable. *)
+      let env_pos name default = Mirror_nvm.Latency.env_int ~min:1 name default in
+      F.run_scaling_panel
+        ~ops_per_task:(env_pos "MIRROR_SCALING_OPS" 40)
+        ~seeds:(env_pos "MIRROR_SCALING_SEEDS" 4)
+        ());
+  ]
 
-(* -- alloc panel ---------------------------------------------------------------- *)
+(* The figures panel goes to FILE itself, every other panel next to it as
+   <FILE base>_<panel>.csv. *)
+let csv_path file (p : P.t) =
+  if p.name = "figures" then file
+  else Filename.remove_extension file ^ "_" ^ p.name ^ ".csv"
 
-(* Sharded arenas vs the old global-lock allocator on an alloc/free-heavy
-   schedsim workload.  The Mops column is the deterministic Amdahl model
-   (persist costs serial under the lock, parallel when sharded); the
-   speedup column at N threads is what the alloc budgets gate.  See
-   Figures.run_alloc_panel. *)
-let run_alloc () =
-  print_endline
-    "=== alloc panel: sharded arenas vs global-lock allocator (schedsim, \
-     modeled Mops)";
-  let pts = F.run_alloc_panel () in
-  Printf.printf "%-8s %8s %8s %10s %9s %7s %8s %7s %7s %7s\n" "policy"
-    "threads" "ops" "mops" "wall-ms" "carves" "rfrees" "drains" "fl/op"
-    "fe/op";
-  List.iter
-    (fun p ->
-      Printf.printf "%-8s %8d %8d %10.2f %9.2f %7d %8d %7d %7.3f %7.3f%s\n%!"
-        p.F.ap_policy p.F.ap_threads p.F.ap_ops p.F.ap_mops p.F.ap_wall_ms
-        p.F.ap_carves p.F.ap_remote_frees p.F.ap_drains p.F.ap_flushes
-        p.F.ap_fences
-        (if p.F.ap_policy = "sharded" then
-           match
-             List.find_opt
-               (fun q ->
-                 q.F.ap_policy = "lock" && q.F.ap_threads = p.F.ap_threads)
-               pts
-           with
-           | Some l when l.F.ap_mops > 0. ->
-               Printf.sprintf "   (%.2fx vs lock)" (p.F.ap_mops /. l.F.ap_mops)
-           | _ -> ""
-         else ""))
-    pts;
-  print_newline ();
-  pts
-
-(* Alloc-scaling budgets: rows of the form alloc,threadsN,min_speedup,0 in
-   bench/budgets.csv gate the modeled sharded/lock throughput ratio at N
-   logical threads. *)
-let check_alloc_budgets (pts : F.alloc_point list) budget_file =
-  let budgets =
-    let ic = open_in budget_file in
-    let rec go acc =
-      match input_line ic with
-      | exception End_of_file ->
-          close_in ic;
-          List.rev acc
-      | ln -> (
-          match String.split_on_char ',' (String.trim ln) with
-          | [ "alloc"; thr; min_speedup; _ ]
-            when String.length thr > 7 && String.sub thr 0 7 = "threads" -> (
-              match
-                ( int_of_string_opt (String.sub thr 7 (String.length thr - 7)),
-                  float_of_string_opt min_speedup )
-              with
-              | Some t, Some m -> go ((t, m) :: acc)
-              | _ -> go acc)
-          | _ -> go acc)
-    in
-    go []
-  in
-  let at policy threads =
-    List.find_opt
-      (fun p -> p.F.ap_policy = policy && p.F.ap_threads = threads)
-      pts
-  in
-  let failures = ref 0 in
-  List.iter
-    (fun (threads, min_speedup) ->
-      match (at "lock" threads, at "sharded" threads) with
-      | Some l, Some s when l.F.ap_mops > 0. ->
-          let speedup = s.F.ap_mops /. l.F.ap_mops in
-          if speedup < min_speedup then begin
-            incr failures;
-            Printf.eprintf
-              "BUDGET EXCEEDED alloc threads=%d sharded/lock modeled speedup \
-               %.2fx < %.2fx\n"
-              threads speedup min_speedup
-          end
-          else
-            Printf.printf
-              "budget ok       alloc threads=%d sharded/lock modeled speedup \
-               %.2fx >= %.2fx\n"
-              threads speedup min_speedup
-      | _ -> ())
-    budgets;
-  !failures = 0
-
-(* -- scaling panel ---------------------------------------------------------------- *)
-
-(* The 8/16-thread scaling tier: the elision panel's contended drivers at
-   every point of the extended thread axis, Amdahl-priced with the NUMA
-   remote-line knob on.  The speedup column is each structure's modeled
-   throughput over its own 1-thread row; wall-ms is the honest timeshared
-   schedsim wall clock (not a parallelism claim).  See
-   Figures.run_scaling_panel. *)
-let run_scaling () =
-  print_endline
-    "=== scaling panel: contended structures at 1/2/4/8/16 threads \
-     (schedsim, modeled Mops)";
-  (* depth knobs for the nightly deep run; the defaults are what the
-     committed budget floors were measured at.  A malformed or
-     non-positive value raises, naming the variable. *)
-  let env_pos name default = Mirror_nvm.Latency.env_int ~min:1 name default in
-  let ops_per_task = env_pos "MIRROR_SCALING_OPS" 40 in
-  let seeds = env_pos "MIRROR_SCALING_SEEDS" 4 in
-  let pts = F.run_scaling_panel ~ops_per_task ~seeds () in
-  Printf.printf "%-8s %8s %8s %10s %9s %10s %9s\n" "ds" "threads" "ops" "mops"
-    "speedup" "remote/op" "wall-ms";
-  List.iter
-    (fun p ->
-      Printf.printf "%-8s %8d %8d %10.3f %8.2fx %10.4f %9.2f\n%!" p.F.sp_ds
-        p.F.sp_threads p.F.sp_ops p.F.sp_mops p.F.sp_speedup p.F.sp_remote
-        p.F.sp_wall_ms)
-    pts;
-  print_newline ();
-  pts
-
-(* Scaling budgets: rows of the form scaling,threadsN,ds,min_speedup in
-   bench/budgets.csv gate the scaling panel at N threads: the structure's
-   modeled speedup over its own 1-thread row must clear the floor.  This
-   is the headline claim of the 8/16-thread tier (lock-free structures
-   keep scaling past 4 domains), enforced on every `make bench-smoke`.
-   When running under GitHub Actions ($GITHUB_STEP_SUMMARY set) the
-   per-row budget-vs-measured deltas are also appended to the job summary
-   as a markdown table. *)
-let check_scaling_budgets (pts : F.scaling_point list) budget_file =
-  let budgets =
-    let ic = open_in budget_file in
-    let rec go acc =
-      match input_line ic with
-      | exception End_of_file ->
-          close_in ic;
-          List.rev acc
-      | ln -> (
-          match String.split_on_char ',' (String.trim ln) with
-          | [ "scaling"; thr; ds; min_speedup ] -> (
-              match (prefixed "threads" thr, float_of_string_opt min_speedup)
-              with
-              | Some t, Some m -> go ((t, ds, m) :: acc)
-              | _ -> go acc)
-          | _ -> go acc)
-    in
-    go []
-  in
-  let failures = ref 0 in
-  let summary = ref [] in
-  List.iter
-    (fun (threads, ds, min_speedup) ->
-      match
-        List.find_opt
-          (fun p -> p.F.sp_ds = ds && p.F.sp_threads = threads)
-          pts
-      with
-      | None -> ()
-      | Some p ->
-          summary := (ds, threads, p.F.sp_speedup, min_speedup) :: !summary;
-          if p.F.sp_speedup < min_speedup then begin
-            incr failures;
-            Printf.eprintf
-              "BUDGET EXCEEDED scaling %s threads=%d modeled speedup %.2fx < \
-               %.2fx (%.3f Mops)\n"
-              ds threads p.F.sp_speedup min_speedup p.F.sp_mops
-          end
-          else
-            Printf.printf
-              "budget ok       scaling %s threads=%d modeled speedup %.2fx \
-               >= %.2fx (%.3f Mops)\n"
-              ds threads p.F.sp_speedup min_speedup p.F.sp_mops)
-    budgets;
-  (match Sys.getenv_opt "GITHUB_STEP_SUMMARY" with
-  | Some path when !summary <> [] ->
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      output_string oc "### Scaling budgets\n\n";
-      output_string oc
-        "| structure | threads | measured speedup | budget floor | delta \
-         |\n|---|---|---|---|---|\n";
-      List.iter
-        (fun (ds, threads, measured, floor) ->
-          Printf.fprintf oc "| %s | %d | %.2fx | %.2fx | %+.2f |\n" ds threads
-            measured floor (measured -. floor))
-        (List.rev !summary);
-      output_string oc "\n";
-      close_out oc
-  | _ -> ());
-  !failures = 0
-
-(* Recovery-speedup budgets: rows of the form recovery,domainsN,min_speedup,0
-   in bench/budgets.csv gate the modeled speedup at N workers against the
-   sequential path, at each shape's largest live point. *)
-let check_recovery_budgets (pts : F.recovery_point list) budget_file =
-  let budgets =
-    let ic = open_in budget_file in
-    let rec go acc =
-      match input_line ic with
-      | exception End_of_file ->
-          close_in ic;
-          List.rev acc
-      | ln -> (
-          match String.split_on_char ',' (String.trim ln) with
-          | [ "recovery"; dom; min_speedup; _ ]
-            when String.length dom > 7
-                 && String.sub dom 0 7 = "domains" -> (
-              match
-                ( int_of_string_opt
-                    (String.sub dom 7 (String.length dom - 7)),
-                  float_of_string_opt min_speedup )
-              with
-              | Some d, Some m -> go ((d, m) :: acc)
-              | _ -> go acc)
-          | _ -> go acc)
-    in
-    go []
-  in
-  let failures = ref 0 in
-  let shapes = List.sort_uniq compare (List.map (fun p -> p.F.rp_shape) pts) in
-  List.iter
-    (fun shape ->
-      let of_shape = List.filter (fun p -> p.F.rp_shape = shape) pts in
-      let live =
-        List.fold_left (fun a p -> max a p.F.rp_live) 0 of_shape
-      in
-      let at d =
-        List.find_opt
-          (fun p -> p.F.rp_live = live && p.F.rp_domains = d)
-          of_shape
-      in
-      List.iter
-        (fun (d, min_speedup) ->
-          match (at 1, at d) with
-          | Some base, Some p when p.F.rp_model_ms > 0. ->
-              let speedup = base.F.rp_model_ms /. p.F.rp_model_ms in
-              if speedup < min_speedup then begin
-                incr failures;
-                Printf.eprintf
-                  "BUDGET EXCEEDED recovery %s live=%d domains=%d modeled \
-                   speedup %.2fx < %.2fx\n"
-                  shape live d speedup min_speedup
-              end
-              else
-                Printf.printf
-                  "budget ok       recovery %s live=%d domains=%d modeled \
-                   speedup %.2fx >= %.2fx\n"
-                  shape live d speedup min_speedup
-          | _ -> ())
-        budgets)
-    shapes;
-  !failures = 0
-
-(* -- flush/fence budgets ----------------------------------------------------------- *)
-
-(* bench/budgets.csv commits a per-(structure, algorithm) ceiling on charged
-   flushes/fences per operation for the Mirror algorithms; `make bench-smoke`
-   fails when a smoke run exceeds it, so flush-count regressions are caught
-   without waiting for the full sweep. *)
-let check_budgets (rows : F.row list) budget_file =
-  let parse_line ln =
-    match String.split_on_char ',' (String.trim ln) with
-    | [ ds; algo; max_fl; max_fe ] -> (
-        try Some (ds, algo, float_of_string max_fl, float_of_string max_fe)
-        with Failure _ -> None)
-    | _ -> None
-  in
-  let budgets =
-    let ic = open_in budget_file in
-    let rec go acc =
-      match input_line ic with
-      | exception End_of_file ->
-          close_in ic;
-          List.rev acc
-      | ln when String.length ln = 0 || ln.[0] = '#' -> go acc
-      | ln -> go (match parse_line ln with Some b -> b :: acc | None -> acc)
-    in
-    go []
-  in
-  let failures = ref 0 and checked = ref 0 in
-  List.iter
-    (fun (ds, algo, max_fl, max_fe) ->
-      let full_name = ds ^ "/" ^ algo in
-      let pts =
-        List.filter
-          (fun r ->
-            Mirror_dstruct.Sets.ds_name r.F.panel.F.ds = ds
-            && r.F.point.R.algo = full_name)
-          rows
-      in
-      match pts with
-      | [] -> () (* structure not in this run's panel subset *)
-      | _ ->
-          incr checked;
-          let worst f =
-            List.fold_left (fun acc r -> Float.max acc (f r.F.point.R.per_op)) 0. pts
-          in
-          let fl = worst (fun p -> p.R.flushes)
-          and fe = worst (fun p -> p.R.fences) in
-          if fl > max_fl || fe > max_fe then begin
-            incr failures;
-            Printf.eprintf
-              "BUDGET EXCEEDED %-16s flushes/op %.3f (max %.3f)  fences/op \
-               %.3f (max %.3f)\n"
-              full_name fl max_fl fe max_fe
-          end
-          else
-            Printf.printf
-              "budget ok       %-16s flushes/op %.3f <= %.3f  fences/op %.3f \
-               <= %.3f\n"
-              full_name fl max_fl fe max_fe)
-    budgets;
-  if !checked = 0 then
-    Printf.eprintf "budget: no benchmark rows matched %s\n" budget_file;
-  !failures = 0 && !checked > 0
+(* Verdicts on stdout (failures on stderr) and, under GitHub Actions, in
+   the job summary.  True when every budget holds. *)
+let report_budgets verdicts =
+  let lines = List.map P.verdict_to_string verdicts in
+  List.iter2
+    (fun v line ->
+      if v.P.failed = 0 then print_endline line else prerr_endline line)
+    verdicts lines;
+  Option.iter
+    (fun path ->
+      Out_channel.with_open_gen [ Open_append; Open_creat ] 0o644 path
+        (fun oc ->
+          output_string oc "### Budgets\n\n```\n";
+          List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+          output_string oc "```\n\n"))
+    (Sys.getenv_opt "GITHUB_STEP_SUMMARY");
+  List.for_all (fun v -> v.P.failed = 0) verdicts
 
 (* -- bechamel microbenchmarks --------------------------------------------------- *)
 
@@ -1139,6 +558,18 @@ let main full smoke panels csv no_micro no_ablation seconds budget
         (String.concat ", " (List.map string_of_int F.line_slots));
       exit 2
   | _ -> ());
+  (* a malformed budget file fails before anything runs *)
+  let budgets =
+    try
+      Option.map
+        (fun file ->
+          P.parse_budgets ~file
+            (In_channel.with_open_text file In_channel.input_all))
+        budget
+    with Failure msg ->
+      prerr_endline ("mirror-bench: " ^ msg);
+      exit 1
+  in
   let cfg =
     if full then F.full
     else if smoke then
@@ -1168,119 +599,39 @@ let main full smoke panels csv no_micro no_ablation seconds budget
     (Mirror_nvm.Latency.get_config ()).Mirror_nvm.Latency.nvm_write_ns
     (Mirror_nvm.Latency.get_config ()).Mirror_nvm.Latency.flush_ns
     (Mirror_nvm.Latency.get_config ()).Mirror_nvm.Latency.fence_ns;
-  let rows = run_figures cfg panel_filter csv in
+  let rows = run_figures cfg panel_filter in
   summarize rows;
-  let elision_pts = run_elision () in
-  Option.iter
-    (fun file ->
-      let efile = Filename.remove_extension file ^ "_elision.csv" in
-      let oc = open_out efile in
-      output_string oc (F.elision_csv_header ^ "\n");
-      List.iter
-        (fun p -> output_string oc (F.elision_point_to_csv p ^ "\n"))
-        elision_pts;
-      close_out oc;
-      Printf.printf "elision rows written to %s\n%!" efile)
-    csv;
-  let buffered_pts = run_buffered () in
-  Option.iter
-    (fun file ->
-      let bfile = Filename.remove_extension file ^ "_buffered.csv" in
-      let oc = open_out bfile in
-      output_string oc (F.buffered_csv_header ^ "\n");
-      List.iter
-        (fun p -> output_string oc (F.buffered_point_to_csv p ^ "\n"))
-        buffered_pts;
-      close_out oc;
-      Printf.printf "buffered rows written to %s\n%!" bfile)
-    csv;
-  let line_pts = run_line slots_per_line in
-  Option.iter
-    (fun file ->
-      let lfile = Filename.remove_extension file ^ "_line.csv" in
-      let oc = open_out lfile in
-      output_string oc (F.line_csv_header ^ "\n");
-      List.iter
-        (fun p -> output_string oc (F.line_point_to_csv p ^ "\n"))
-        line_pts;
-      close_out oc;
-      Printf.printf "line rows written to %s\n%!" lfile)
-    csv;
-  let recovery_pts = run_recovery smoke in
-  Option.iter
-    (fun file ->
-      let rfile = Filename.remove_extension file ^ "_recovery.csv" in
-      let oc = open_out rfile in
-      output_string oc (F.recovery_csv_header ^ "\n");
-      List.iter
-        (fun p -> output_string oc (F.recovery_point_to_csv p ^ "\n"))
-        recovery_pts;
-      close_out oc;
-      Printf.printf "recovery rows written to %s\n%!" rfile)
-    csv;
-  let alloc_pts = run_alloc () in
-  Option.iter
-    (fun file ->
-      let afile = Filename.remove_extension file ^ "_alloc.csv" in
-      let oc = open_out afile in
-      output_string oc (F.alloc_csv_header ^ "\n");
-      List.iter
-        (fun p -> output_string oc (F.alloc_point_to_csv p ^ "\n"))
-        alloc_pts;
-      close_out oc;
-      Printf.printf "alloc rows written to %s\n%!" afile)
-    csv;
-  let scaling_pts = run_scaling () in
-  Option.iter
-    (fun file ->
-      let sfile = Filename.remove_extension file ^ "_scaling.csv" in
-      let oc = open_out sfile in
-      output_string oc (F.scaling_csv_header ^ "\n");
-      List.iter
-        (fun p -> output_string oc (F.scaling_point_to_csv p ^ "\n"))
-        scaling_pts;
-      close_out oc;
-      Printf.printf "scaling rows written to %s\n%!" sfile)
-    csv;
+  let tables =
+    List.map
+      (fun run ->
+        let p = run () in
+        P.print p;
+        Option.iter
+          (fun file ->
+            let path = csv_path file p in
+            P.write_csv p path;
+            Printf.printf "%s rows written to %s\n%!" p.name path)
+          csv;
+        p)
+      ((fun () -> F.figures_panel rows) :: side_panels smoke slots_per_line)
+  in
   if not no_ablation then begin
     run_ablations ();
     run_extensions ()
   end;
   if not no_micro then run_micro ();
   let budgets_ok =
-    match budget with None -> true | Some file -> check_budgets rows file
-  in
-  let recovery_ok =
-    match budget with
+    match budgets with
     | None -> true
-    | Some file -> check_recovery_budgets recovery_pts file
-  in
-  let alloc_ok =
-    match budget with
-    | None -> true
-    | Some file -> check_alloc_budgets alloc_pts file
-  in
-  let buffered_ok =
-    match budget with
-    | None -> true
-    | Some file -> check_buffered_budgets buffered_pts file
-  in
-  let line_ok =
-    match budget with
-    | None -> true
-    | Some file -> check_line_budgets line_pts file
-  in
-  let scaling_ok =
-    match budget with
-    | None -> true
-    | Some file -> check_scaling_budgets scaling_pts file
+    | Some budgets -> (
+        match P.check budgets tables with
+        | verdicts -> report_budgets verdicts
+        | exception Failure msg ->
+            prerr_endline ("mirror-bench: " ^ msg);
+            false)
   in
   print_endline "done.";
-  if
-    not
-      (budgets_ok && recovery_ok && alloc_ok && buffered_ok && line_ok
-     && scaling_ok)
-  then exit 1
+  if not budgets_ok then exit 1
 
 open Cmdliner
 
@@ -1293,13 +644,19 @@ let smoke =
 let panels =
   Arg.(
     value & opt_all string []
-    & info [ "panels"; "p" ] ~docv:"IDS" ~doc:"Comma-separated panel ids (e.g. 6a,7c).")
+    & info [ "panels"; "p" ] ~docv:"IDS"
+        ~doc:
+          "Comma-separated figure-panel ids (e.g. 6a,7c); the side panels \
+           always run.")
 
 let csv =
   Arg.(
     value
     & opt (some string) None
-    & info [ "csv" ] ~docv:"FILE" ~doc:"Write machine-readable rows to $(docv).")
+    & info [ "csv" ] ~docv:"FILE"
+        ~doc:
+          "Write the figure rows to $(docv) and each side panel to \
+           <$(docv) base>_<panel>.csv.")
 
 let no_micro =
   Arg.(value & flag & info [ "no-micro" ] ~doc:"Skip bechamel microbenchmarks.")
@@ -1319,9 +676,13 @@ let budget =
     & opt (some file) None
     & info [ "budget" ] ~docv:"FILE"
         ~doc:
-          "Check measured flushes/fences per op against the ceilings in \
-           $(docv) (CSV: ds,algo,max_flushes_per_op,max_fences_per_op); exit \
-           1 on any regression.")
+          "Gate every panel against the budget rows in $(docv), one per line: \
+           panel,key=v;key=v,metric,<=|>=,threshold (e.g. \
+           figures,ds=list;algo=list/mirror,flushes_per_op,<=,0.65).  A row \
+           applies to every panel row whose key cells match and compares the \
+           unrounded metric.  Exit 1 when any matched row is past its \
+           threshold, or when a row is malformed, names an unknown panel or \
+           column, or matches no row.")
 
 let slots_per_line =
   Arg.(

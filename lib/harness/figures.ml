@@ -207,69 +207,89 @@ let run_panel ?(progress = fun (_ : string) -> ()) (cfg : config) (panel : panel
         panel.algos)
     xs
 
-let pp_row ppf r =
-  Format.fprintf ppf "%-3s x=%-8d %a" r.panel.id r.x Runner.pp_point r.point
+let cols = String.split_on_char ','
 
-(** CSV-ish row used by EXPERIMENTS.md tooling (schema v2: the trailing
-    epoch-clock columns joined with the buffered discipline; they are 0
-    for every strict algorithm). *)
-let row_to_csv r =
-  Printf.sprintf
-    "%s,%s,%s,%d,%d,%.4f,%.3f,%.2f,%.3f,%.3f,%.3f,%.3f,%.3f,%.4f,%.4f,%.3f"
-    r.panel.id (Sets.ds_name r.panel.ds) r.point.Runner.algo r.x
-    r.point.Runner.threads r.point.Runner.mops r.point.Runner.modeled_mops
-    r.point.Runner.per_op.Runner.nvm_reads
-    r.point.Runner.per_op.Runner.nvm_writes r.point.Runner.per_op.Runner.flushes
-    r.point.Runner.per_op.Runner.fences
-    r.point.Runner.per_op.Runner.flushes_elided
-    r.point.Runner.per_op.Runner.fences_elided
-    r.point.Runner.per_op.Runner.epoch_advances
-    r.point.Runner.per_op.Runner.fences_batched
-    r.point.Runner.per_op.Runner.writes_deferred
+(* Schema v2: the trailing epoch-clock columns joined with the buffered
+   discipline; they are 0 for every strict algorithm. *)
+let figures_panel rows =
+  Panel.make "figures"
+    (cols
+       "panel,ds,algo,x,threads,mops,modeled_mops,nvm_reads_per_op,nvm_writes_per_op,flushes_per_op,fences_per_op,flushes_elided_per_op,fences_elided_per_op,epoch_advances_per_op,fences_batched_per_op,writes_deferred_per_op")
+    (List.map
+       (fun r ->
+         let p = r.point in
+         let o = p.Runner.per_op in
+         Panel.
+           [
+             Str r.panel.id;
+             Str (Sets.ds_name r.panel.ds);
+             Str p.Runner.algo;
+             Int r.x;
+             Int p.Runner.threads;
+             Float (p.Runner.mops, 4);
+             Float (p.Runner.modeled_mops, 3);
+             Float (o.Runner.nvm_reads, 2);
+             Float (o.Runner.nvm_writes, 3);
+             Float (o.Runner.flushes, 3);
+             Float (o.Runner.fences, 3);
+             Float (o.Runner.flushes_elided, 3);
+             Float (o.Runner.fences_elided, 3);
+             Float (o.Runner.epoch_advances, 4);
+             Float (o.Runner.fences_batched, 4);
+             Float (o.Runner.writes_deferred, 3);
+           ])
+       rows)
 
-let csv_header =
-  "panel,ds,algo,x,threads,mops,modeled_mops,nvm_reads_per_op,nvm_writes_per_op,flushes_per_op,fences_per_op,flushes_elided_per_op,fences_elided_per_op,epoch_advances_per_op,fences_batched_per_op,writes_deferred_per_op"
+(* -- side panels: seeded schedsim runs ------------------------------------- *)
+
+(* [seeds] deterministic-scheduler runs of the fibers [setup seed] builds
+   over its region, summed: returns the run's stats and its wall clock in
+   ms.  Setup cost is excluded (stats reset after [setup]); the open epoch
+   is drained before counters are read, so a buffered run's deferred tail
+   is charged to it ({!Mirror_nvm.Region.quiesce} is a no-op otherwise). *)
+let sched_runs ~who ~seeds setup =
+  let acc = Mirror_nvm.Stats.zero () and wall = ref 0. in
+  for seed = 1 to seeds do
+    let region, tasks = setup seed in
+    Mirror_nvm.Stats.reset_all ();
+    let t0 = Unix.gettimeofday () in
+    let o = Mirror_schedsim.Sched.run ~seed tasks in
+    wall := !wall +. ((Unix.gettimeofday () -. t0) *. 1e3);
+    if not o.Mirror_schedsim.Sched.completed then
+      failwith (who ^ ": schedsim run did not complete");
+    Mirror_nvm.Region.quiesce region;
+    Mirror_nvm.Stats.add ~into:acc (Mirror_nvm.Stats.total ())
+  done;
+  (acc, !wall)
+
+(* The run's charged NVMM events priced at the configured latencies (plus
+   [remote_ns] per NUMA remote-line access). *)
+let persist_ns ?(remote_ns = 0) (st : Mirror_nvm.Stats.t) =
+  let cfg = Mirror_nvm.Latency.get_config () in
+  float_of_int
+    ((st.Mirror_nvm.Stats.flush * cfg.Mirror_nvm.Latency.flush_ns)
+    + (st.Mirror_nvm.Stats.fence * cfg.Mirror_nvm.Latency.fence_ns)
+    + (st.Mirror_nvm.Stats.nvm_write + st.Mirror_nvm.Stats.nvm_cas)
+      * cfg.Mirror_nvm.Latency.nvm_write_ns
+    + (st.Mirror_nvm.Stats.nvm_read * cfg.Mirror_nvm.Latency.nvm_read_ns)
+    + (st.Mirror_nvm.Stats.nvm_remote * remote_ns))
 
 (* -- elision panel: flush/fence elision on vs off ------------------------- *)
 
-(** One measurement of the elision panel: a Mirror data structure driven by
-    contended logical threads under the deterministic scheduler, with the
-    region's flush/fence elision either off (the seed's exact charged costs)
-    or on.  The scheduler is what actually interleaves operations on this
-    one-core box, so this is where the helping/retry paths that elision
-    targets really fire; the per-op charged counts are exact, deterministic
-    and directly comparable between the two modes (elision changes no
-    control flow, it only reclassifies redundant persisting instructions as
-    elided). *)
-type elision_point = {
-  e_ds : string;
-  e_elide : bool;
-  e_ops : int;  (** completed operations, summed over seeds *)
-  e_flushes : float;  (** charged flushes per op *)
-  e_fences : float;  (** charged fences per op *)
-  e_flushes_elided : float;
-  e_fences_elided : float;
-  e_helps : float;  (** helping-path executions per op *)
-}
-
-(** The eight Mirror-transformed structures of the elision panel: the four
-    set structures of the paper's evaluation plus the queue, stack and
-    priority queue of the generality claim, and the bare primitive as a
-    contended counter (the cost-model floor: one flush + one fence per
-    update). *)
 let elision_structures =
   [ "list"; "hash"; "bst"; "skiplist"; "queue"; "stack"; "pqueue"; "counter" ]
 
-(* The contended schedsim drivers shared by the elision and scaling
-   panels: the same workload shapes (70%-update small-range sets, mixed
-   queue/stack/pqueue traffic, a bare fetch-add counter), parameterised
-   by fiber count.  Returns the fiber thunks for one run. *)
-let contended_tasks ds ~threads ~ops_per_task region seed =
+(* The contended schedsim drivers shared by the elision, buffered and
+   scaling panels: the same workload shapes (70%-update small-range sets,
+   mixed queue/stack/pqueue traffic, a bare fetch-add counter) over the
+   [prim] strategy, parameterised by fiber count.  Returns the fiber
+   thunks for one run. *)
+let contended_tasks ?(prim = "mirror") ds ~threads ~ops_per_task region seed =
   let module W = Mirror_workload.Workload in
   let module Rng = Mirror_workload.Rng in
   let set_driver ds =
     let (module S : Sets.SET) =
-      Sets.make ds (Mirror_prim.Prim.by_name region "mirror")
+      Sets.make ds (Mirror_prim.Prim.by_name region prim)
     in
     let range = 8 in
     let t = S.create ~capacity:range () in
@@ -285,7 +305,7 @@ let contended_tasks ds ~threads ~ops_per_task region seed =
   in
   let queue_driver () =
     let (module P : Mirror_prim.Prim.S) =
-      Mirror_prim.Prim.by_name region "mirror"
+      Mirror_prim.Prim.by_name region prim
     in
     let module Q = Mirror_dstruct.Queue.Make (P) in
     let q = Q.create () in
@@ -297,7 +317,7 @@ let contended_tasks ds ~threads ~ops_per_task region seed =
   in
   let stack_driver () =
     let (module P : Mirror_prim.Prim.S) =
-      Mirror_prim.Prim.by_name region "mirror"
+      Mirror_prim.Prim.by_name region prim
     in
     let module St = Mirror_dstruct.Stack.Make (P) in
     let s = St.create () in
@@ -309,7 +329,7 @@ let contended_tasks ds ~threads ~ops_per_task region seed =
   in
   let pqueue_driver () =
     let (module P : Mirror_prim.Prim.S) =
-      Mirror_prim.Prim.by_name region "mirror"
+      Mirror_prim.Prim.by_name region prim
     in
     let module Pq = Mirror_dstruct.Priority_queue.Make (P) in
     let pq = Pq.create () in
@@ -338,221 +358,98 @@ let contended_tasks ds ~threads ~ops_per_task region seed =
   | "counter" -> counter_driver ()
   | s -> invalid_arg ("contended_tasks: unknown structure " ^ s)
 
-let run_elision_panel ?(threads = 4) ?(ops_per_task = 40) ?(seeds = 8) () :
-    elision_point list =
-  let run_one name elide =
-    let acc = Mirror_nvm.Stats.zero () in
-    let ops = ref 0 in
-    for seed = 1 to seeds do
-      let region = Mirror_nvm.Region.create ~track_slots:false ~elide () in
-      let tasks = contended_tasks name ~threads ~ops_per_task region seed in
-      Mirror_nvm.Stats.reset_all ();
-      let o = Mirror_schedsim.Sched.run ~seed tasks in
-      if not o.Mirror_schedsim.Sched.completed then
-        failwith "run_elision_panel: schedsim run did not complete";
-      Mirror_nvm.Stats.add ~into:acc (Mirror_nvm.Stats.total ());
-      ops := !ops + (threads * ops_per_task)
-    done;
-    let fops = float_of_int (max 1 !ops) in
-    {
-      e_ds = name;
-      e_elide = elide;
-      e_ops = !ops;
-      e_flushes = float_of_int acc.Mirror_nvm.Stats.flush /. fops;
-      e_fences = float_of_int acc.Mirror_nvm.Stats.fence /. fops;
-      e_flushes_elided =
-        float_of_int acc.Mirror_nvm.Stats.flush_elided /. fops;
-      e_fences_elided = float_of_int acc.Mirror_nvm.Stats.fence_elided /. fops;
-      e_helps = float_of_int acc.Mirror_nvm.Stats.help /. fops;
-    }
+let run_elision_panel ?(threads = 4) ?(ops_per_task = 40) ?(seeds = 8) () =
+  let row name elide =
+    let acc, _ =
+      sched_runs ~who:"run_elision_panel" ~seeds (fun seed ->
+          let region = Mirror_nvm.Region.create ~track_slots:false ~elide () in
+          (region, contended_tasks name ~threads ~ops_per_task region seed))
+    in
+    let ops = seeds * threads * ops_per_task in
+    let fops = float_of_int (max 1 ops) in
+    let per_op n = Panel.Float (float_of_int n /. fops, 4) in
+    Panel.
+      [
+        Str name;
+        Bool elide;
+        Int ops;
+        per_op acc.Mirror_nvm.Stats.flush;
+        per_op acc.Mirror_nvm.Stats.fence;
+        per_op acc.Mirror_nvm.Stats.flush_elided;
+        per_op acc.Mirror_nvm.Stats.fence_elided;
+        per_op acc.Mirror_nvm.Stats.help;
+      ]
   in
-  List.concat_map
-    (fun name -> [ run_one name false; run_one name true ])
-    elision_structures
-
-let elision_csv_header =
-  "ds,elide,ops,flushes_per_op,fences_per_op,flushes_elided_per_op,fences_elided_per_op,helps_per_op"
-
-let elision_point_to_csv p =
-  Printf.sprintf "%s,%b,%d,%.4f,%.4f,%.4f,%.4f,%.4f" p.e_ds p.e_elide p.e_ops
-    p.e_flushes p.e_fences p.e_flushes_elided p.e_fences_elided p.e_helps
+  Panel.make "elision"
+    (cols
+       "ds,elide,ops,flushes_per_op,fences_per_op,flushes_elided_per_op,fences_elided_per_op,helps_per_op")
+    (List.concat_map
+       (fun name -> [ row name false; row name true ])
+       elision_structures)
 
 (* -- buffered panel: epoch-batched persistence vs strict Mirror ------------ *)
 
-(** The headline measurement of the buffered discipline: the same
-    contended schedsim workload run under strict Mirror and under the
-    buffered discipline at several epoch lengths, with exact deterministic
-    charged counts.  [b_strict_fences] is the strict baseline of the same
-    (structure, threads) cell, so each row carries its own fence-reduction
-    ratio; the open epoch is drained ({!Mirror_nvm.Region.quiesce}) before
-    counters are read, so the deferred tail's batch fence is charged to
-    the run that produced it. *)
-type buffered_point = {
-  b_ds : string;
-  b_threads : int;
-  b_epoch_len : int;  (** deferred persists per epoch *)
-  b_ops : int;  (** completed operations, summed over seeds *)
-  b_strict_fences : float;  (** strict Mirror fences per op (baseline) *)
-  b_fences : float;  (** buffered charged fences per op *)
-  b_fence_reduction : float;  (** strict / buffered fences per op *)
-  b_flushes : float;  (** buffered charged flushes per op *)
-  b_epoch_advances : float;
-  b_fences_batched : float;
-  b_writes_deferred : float;
-}
-
-(** The four structures of the buffered panel: the two paper set
-    structures where fence cost dominates plus the queue and stack of the
-    generality claim. *)
 let buffered_structures = [ "list"; "hash"; "queue"; "stack" ]
 
 let run_buffered_panel ?(threads_points = [ 1; 2; 4; 8; 16 ])
-    ?(epoch_lens = [ 1; 16; 256 ]) ?(ops_per_task = 40) ?(seeds = 4) () :
-    buffered_point list =
-  let module W = Mirror_workload.Workload in
-  let module Rng = Mirror_workload.Rng in
-  let set_driver ds ~prim ~threads region seed =
-    let (module S : Sets.SET) =
-      Sets.make ds (Mirror_prim.Prim.by_name region prim)
-    in
-    let range = 8 in
-    let t = S.create ~capacity:range () in
-    List.iter (fun k -> ignore (S.insert t k k)) (W.prefill_keys ~range);
-    List.init threads (fun i () ->
-        let rng = Rng.split ~seed i in
-        for _ = 1 to ops_per_task do
-          match W.gen rng (W.of_updates 70) ~range with
-          | W.Lookup k -> ignore (S.contains t k)
-          | W.Insert (k, v) -> ignore (S.insert t k v)
-          | W.Remove k -> ignore (S.remove t k)
-        done)
-  in
-  let queue_driver ~prim ~threads region seed =
-    let (module P : Mirror_prim.Prim.S) =
-      Mirror_prim.Prim.by_name region prim
-    in
-    let module Q = Mirror_dstruct.Queue.Make (P) in
-    let q = Q.create () in
-    ignore seed;
-    List.init threads (fun i () ->
-        for j = 1 to ops_per_task do
-          if j land 1 = 0 then Q.enqueue q ((i * 1000) + j)
-          else ignore (Q.dequeue q)
-        done)
-  in
-  let stack_driver ~prim ~threads region seed =
-    let (module P : Mirror_prim.Prim.S) =
-      Mirror_prim.Prim.by_name region prim
-    in
-    let module St = Mirror_dstruct.Stack.Make (P) in
-    let s = St.create () in
-    ignore seed;
-    List.init threads (fun i () ->
-        for j = 1 to ops_per_task do
-          if (i + j) land 1 = 0 then St.push s ((i * 1000) + j)
-          else ignore (St.pop s)
-        done)
-  in
-  let driver_of = function
-    | "list" -> set_driver Sets.List_ds
-    | "hash" -> set_driver Sets.Hash_ds
-    | "queue" -> queue_driver
-    | "stack" -> stack_driver
-    | s -> invalid_arg ("run_buffered_panel: unknown structure " ^ s)
-  in
+    ?(epoch_lens = [ 1; 16; 256 ]) ?(ops_per_task = 40) ?(seeds = 4) () =
   let measure name ~prim ~threads ~epoch_len =
-    let driver = driver_of name in
-    let acc = Mirror_nvm.Stats.zero () in
-    let ops = ref 0 in
-    for seed = 1 to seeds do
-      let region =
-        Mirror_nvm.Region.create ~track_slots:false ~epoch_len ()
-      in
-      let tasks = driver ~prim ~threads region seed in
-      Mirror_nvm.Stats.reset_all ();
-      let o = Mirror_schedsim.Sched.run ~seed tasks in
-      if not o.Mirror_schedsim.Sched.completed then
-        failwith "run_buffered_panel: schedsim run did not complete";
-      Mirror_nvm.Region.quiesce region;
-      Mirror_nvm.Stats.add ~into:acc (Mirror_nvm.Stats.total ());
-      ops := !ops + (threads * ops_per_task)
-    done;
-    (max 1 !ops, acc)
-  in
-  List.concat_map
-    (fun name ->
-      List.concat_map
-        (fun threads ->
-          let sops, strict = measure name ~prim:"mirror" ~threads ~epoch_len:1 in
-          let strict_fences =
-            float_of_int strict.Mirror_nvm.Stats.fence /. float_of_int sops
+    let acc, _ =
+      sched_runs ~who:"run_buffered_panel" ~seeds (fun seed ->
+          let region =
+            Mirror_nvm.Region.create ~track_slots:false ~epoch_len ()
           in
-          List.map
-            (fun epoch_len ->
-              let bops, buf =
-                measure name ~prim:"buffered" ~threads ~epoch_len
-              in
-              let fops = float_of_int bops in
-              let fences =
-                float_of_int buf.Mirror_nvm.Stats.fence /. fops
-              in
-              {
-                b_ds = name;
-                b_threads = threads;
-                b_epoch_len = epoch_len;
-                b_ops = bops;
-                b_strict_fences = strict_fences;
-                b_fences = fences;
-                b_fence_reduction =
-                  (if fences > 0. then strict_fences /. fences
-                   else Float.infinity);
-                b_flushes = float_of_int buf.Mirror_nvm.Stats.flush /. fops;
-                b_epoch_advances =
-                  float_of_int buf.Mirror_nvm.Stats.epoch_advance /. fops;
-                b_fences_batched =
-                  float_of_int buf.Mirror_nvm.Stats.fence_batched /. fops;
-                b_writes_deferred =
-                  float_of_int buf.Mirror_nvm.Stats.writes_deferred /. fops;
-              })
-            epoch_lens)
-        threads_points)
-    buffered_structures
-
-let buffered_csv_header =
-  "ds,threads,epoch_len,ops,strict_fences_per_op,fences_per_op,fence_reduction,flushes_per_op,epoch_advances_per_op,fences_batched_per_op,writes_deferred_per_op"
-
-let buffered_point_to_csv p =
-  Printf.sprintf "%s,%d,%d,%d,%.4f,%.4f,%.2f,%.4f,%.4f,%.4f,%.4f" p.b_ds
-    p.b_threads p.b_epoch_len p.b_ops p.b_strict_fences p.b_fences
-    p.b_fence_reduction p.b_flushes p.b_epoch_advances p.b_fences_batched
-    p.b_writes_deferred
+          ( region,
+            contended_tasks ~prim name ~threads ~ops_per_task region seed ))
+    in
+    (max 1 (seeds * threads * ops_per_task), acc)
+  in
+  let rows =
+    List.concat_map
+      (fun name ->
+        List.concat_map
+          (fun threads ->
+            let sops, strict =
+              measure name ~prim:"mirror" ~threads ~epoch_len:1
+            in
+            let strict_fences =
+              float_of_int strict.Mirror_nvm.Stats.fence /. float_of_int sops
+            in
+            List.map
+              (fun epoch_len ->
+                let bops, buf =
+                  measure name ~prim:"buffered" ~threads ~epoch_len
+                in
+                let fops = float_of_int bops in
+                let fences = float_of_int buf.Mirror_nvm.Stats.fence /. fops in
+                let per_op n = Panel.Float (float_of_int n /. fops, 4) in
+                Panel.
+                  [
+                    Str name;
+                    Int threads;
+                    Int epoch_len;
+                    Int bops;
+                    Float (strict_fences, 4);
+                    Float (fences, 4);
+                    Float
+                      ( (if fences > 0. then strict_fences /. fences
+                         else Float.infinity),
+                        2 );
+                    per_op buf.Mirror_nvm.Stats.flush;
+                    per_op buf.Mirror_nvm.Stats.epoch_advance;
+                    per_op buf.Mirror_nvm.Stats.fence_batched;
+                    per_op buf.Mirror_nvm.Stats.writes_deferred;
+                  ])
+              epoch_lens)
+          threads_points)
+      buffered_structures
+  in
+  Panel.make "buffered"
+    (cols
+       "ds,threads,epoch_len,ops,strict_fences_per_op,fences_per_op,fence_reduction,flushes_per_op,epoch_advances_per_op,fences_batched_per_op,writes_deferred_per_op")
+    rows
 
 (* -- recovery panel ---------------------------------------------------------------- *)
-
-(** Recovery latency vs live-object count x worker count over the raw
-    persistent heap ({!Mirror_nvmheap.Heap}).  Two metrics per cell:
-
-    - [rp_wall_ms]: measured wall clock of {!Mirror_nvmheap.Heap.recover}
-      with real [Domain.spawn] workers — honest, but on a one-core box
-      parallel wall time cannot beat sequential;
-    - [rp_model_ms]: the modeled latency on a machine with one core per
-      worker.  The same worker closures run under the deterministic
-      scheduler (so the work split is reproducible anywhere), and each
-      worker's node/header tallies are priced at the configured NVMM read
-      latency; the phase cost is the {e maximum} worker's cost — the
-      critical path.  The speedup budget in bench/budgets.csv gates this
-      metric. *)
-type recovery_point = {
-  rp_shape : string;
-  rp_live : int;  (** live objects in the recovered heap *)
-  rp_garbage : int;  (** unreachable blocks the sweep must reclaim *)
-  rp_domains : int;
-  rp_wall_ms : float;
-  rp_model_ms : float;
-  rp_marked : int;  (** nodes traced (duplicates included) *)
-  rp_swept : int;
-  rp_steals : int;
-}
 
 let model_ms_of (r : Mirror_nvmheap.Heap.recovery_stats) =
   let cfg = Mirror_nvm.Latency.get_config () in
@@ -566,222 +463,161 @@ let model_ms_of (r : Mirror_nvmheap.Heap.recovery_stats) =
   /. 1e6
 
 let run_recovery_panel ?(shapes = [ Mirror_nvmheap.Shapes.Forest ])
-    ?(live_points = [ 10_000; 100_000 ]) ?(domain_points = [ 1; 2; 4 ]) () :
-    recovery_point list =
+    ?(live_points = [ 10_000; 100_000 ]) ?(domain_points = [ 1; 2; 4 ]) () =
+  if not (List.mem 1 domain_points) then
+    invalid_arg "run_recovery_panel: domain_points must include 1";
   let module H = Mirror_nvmheap.Heap in
   let module Sh = Mirror_nvmheap.Shapes in
-  List.concat_map
-    (fun shape ->
-      List.concat_map
-        (fun live ->
-          let garbage_ratio = 0.5 in
-          let region = Mirror_nvm.Region.create ~track_slots:false () in
-          let heap =
-            H.create ~words:(Sh.words_needed ~live ~garbage_ratio) region
-          in
-          let built =
-            Sh.build ~shape ~garbage_ratio ~durable:false ~seed:42 ~live heap
-          in
-          List.map
-            (fun domains ->
-              (* wall clock with real domains *)
-              let t0 = Unix.gettimeofday () in
-              H.recover ~domains heap ~trace:built.Sh.trace;
-              let wall_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-              let wall_stats = Option.get (H.last_recovery heap) in
-              (* deterministic work split under the cooperative scheduler *)
-              let runner tasks =
-                ignore (Mirror_schedsim.Sched.run ~seed:1 tasks)
-              in
-              H.recover ~domains ~runner heap ~trace:built.Sh.trace;
-              let sim_stats = Option.get (H.last_recovery heap) in
-              {
-                rp_shape = Sh.shape_name shape;
-                rp_live = live;
-                rp_garbage = List.length built.Sh.garbage;
-                rp_domains = domains;
-                rp_wall_ms = wall_ms;
-                rp_model_ms = model_ms_of sim_stats;
-                rp_marked = wall_stats.H.r_marked;
-                rp_swept = wall_stats.H.r_swept;
-                rp_steals = sim_stats.H.r_steals;
-              })
-            domain_points)
-        live_points)
-    shapes
-
-let recovery_csv_header =
-  "shape,live,garbage,domains,wall_ms,model_ms,marked,swept,steals"
-
-let recovery_point_to_csv p =
-  Printf.sprintf "%s,%d,%d,%d,%.3f,%.3f,%d,%d,%d" p.rp_shape p.rp_live
-    p.rp_garbage p.rp_domains p.rp_wall_ms p.rp_model_ms p.rp_marked
-    p.rp_swept p.rp_steals
+  let rows =
+    List.concat_map
+      (fun shape ->
+        List.concat_map
+          (fun live ->
+            let garbage_ratio = 0.5 in
+            let region = Mirror_nvm.Region.create ~track_slots:false () in
+            let heap =
+              H.create ~words:(Sh.words_needed ~live ~garbage_ratio) region
+            in
+            let built =
+              Sh.build ~shape ~garbage_ratio ~durable:false ~seed:42 ~live heap
+            in
+            (* each row carries its 1-worker baseline's model_ms *)
+            let measured =
+              List.map
+                (fun domains ->
+                  (* wall clock with real domains *)
+                  let t0 = Unix.gettimeofday () in
+                  H.recover ~domains heap ~trace:built.Sh.trace;
+                  let wall_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+                  let wall_stats = Option.get (H.last_recovery heap) in
+                  (* deterministic work split under the cooperative scheduler *)
+                  let runner tasks =
+                    ignore (Mirror_schedsim.Sched.run ~seed:1 tasks)
+                  in
+                  H.recover ~domains ~runner heap ~trace:built.Sh.trace;
+                  let sim_stats = Option.get (H.last_recovery heap) in
+                  let model_ms = model_ms_of sim_stats in
+                  ( model_ms,
+                    fun base_ms ->
+                      Panel.
+                        [
+                          Str (Sh.shape_name shape);
+                          Int live;
+                          Int (List.length built.Sh.garbage);
+                          Int domains;
+                          Float (wall_ms, 3);
+                          Float (model_ms, 3);
+                          Int wall_stats.H.r_marked;
+                          Int wall_stats.H.r_swept;
+                          Int sim_stats.H.r_steals;
+                          Float
+                            ( (if model_ms > 0. then base_ms /. model_ms
+                               else 0.),
+                              3 );
+                        ] ))
+                domain_points
+            in
+            let base_ms =
+              fst (List.assoc 1 (List.combine domain_points measured))
+            in
+            List.map (fun (_, row) -> row base_ms) measured)
+          live_points)
+      shapes
+  in
+  Panel.make "recovery"
+    (cols "shape,live,garbage,domains,wall_ms,model_ms,marked,swept,steals,speedup")
+    rows
 
 (* -- alloc panel -------------------------------------------------------------------- *)
-
-(** Allocator throughput: the sharded arenas against the old global-lock
-    allocator on an alloc/free-heavy workload (no data-structure traffic),
-    driven by contended logical threads under the deterministic scheduler.
-    Each fiber allocates into its own pool and frees from its neighbour's,
-    so the sharded remote-free path genuinely fires.
-
-    [ap_mops] is modeled, not wall clock: the charged NVMM events of the
-    run (header writes, flushes, fences — exact and deterministic) are
-    priced at the configured latencies and split Amdahl-style.  Under
-    {!Mirror_nvmheap.Heap.Global_lock} every persist happens while holding
-    the one allocator lock, so the whole priced cost is serial; under
-    {!Mirror_nvmheap.Heap.Sharded} no persist happens under any shared
-    lock, so it divides across threads.  Volatile bookkeeping is priced at
-    [base_op_ns] per operation and always divides.  The speedup budget in
-    bench/budgets.csv gates the sharded/lock ratio of this metric. *)
-type alloc_point = {
-  ap_policy : string;  (** "sharded" or "lock" *)
-  ap_threads : int;
-  ap_ops : int;  (** alloc + free operations, summed over seeds *)
-  ap_mops : float;  (** modeled throughput (see above) *)
-  ap_wall_ms : float;  (** measured wall clock of the schedsim runs *)
-  ap_carves : int;  (** chunks carved off the global bump pointer *)
-  ap_remote_frees : int;  (** frees routed to another thread's arena *)
-  ap_drains : int;  (** non-empty remote-free-list drains *)
-  ap_flushes : float;  (** charged flushes per op *)
-  ap_fences : float;  (** charged fences per op *)
-}
 
 let alloc_policy_name = function
   | Mirror_nvmheap.Heap.Sharded -> "sharded"
   | Mirror_nvmheap.Heap.Global_lock -> "lock"
 
 let run_alloc_panel ?(threads_points = [ 1; 2; 4; 8; 16 ])
-    ?(ops_per_task = 400) ?(seeds = 4) ?(base_op_ns = 20) () : alloc_point list
-    =
+    ?(ops_per_task = 400) ?(seeds = 4) ?(base_op_ns = 20) () =
   let module H = Mirror_nvmheap.Heap in
   let module Rng = Mirror_workload.Rng in
   let run_one policy threads =
-    let acc = Mirror_nvm.Stats.zero () in
-    let ops = ref 0 and persist_ns = ref 0. and wall = ref 0. in
-    for seed = 1 to seeds do
-      let region = Mirror_nvm.Region.create ~track_slots:false () in
-      let heap =
-        H.create ~words:((threads * ops_per_task * 12) + 1024) ~policy region
-      in
-      (* per-fiber pools of live payloads; fiber i frees from fiber i+1's
-         pool, so under Sharded every free is a cross-arena remote free *)
-      let pools = Array.init threads (fun _ -> ref []) in
-      let tasks =
-        List.init threads (fun i () ->
-            let rng = Rng.split ~seed i in
-            let mine = pools.(i) and theirs = pools.((i + 1) mod threads) in
-            for _ = 1 to ops_per_task do
-              match !theirs with
-              | p :: rest when Rng.int rng 10 < 4 ->
-                  theirs := rest;
-                  H.free heap p
-              | _ ->
-                  (* bind before the push: alloc yields, and the neighbour
-                     pops from [mine] concurrently *)
-                  let p = H.alloc heap (1 + Rng.int rng 8) in
-                  mine := p :: !mine
-            done)
-      in
-      Mirror_nvm.Stats.reset_all ();
-      let t0 = Unix.gettimeofday () in
-      let o = Mirror_schedsim.Sched.run ~seed tasks in
-      wall := !wall +. ((Unix.gettimeofday () -. t0) *. 1e3);
-      if not o.Mirror_schedsim.Sched.completed then
-        failwith "run_alloc_panel: schedsim run did not complete";
-      let st = Mirror_nvm.Stats.total () in
-      Mirror_nvm.Stats.add ~into:acc st;
-      ops := !ops + (threads * ops_per_task);
-      let cfg = Mirror_nvm.Latency.get_config () in
-      persist_ns :=
-        !persist_ns
-        +. float_of_int
-             ((st.Mirror_nvm.Stats.flush * cfg.Mirror_nvm.Latency.flush_ns)
-             + (st.Mirror_nvm.Stats.fence * cfg.Mirror_nvm.Latency.fence_ns)
-             + (st.Mirror_nvm.Stats.nvm_write + st.Mirror_nvm.Stats.nvm_cas)
-               * cfg.Mirror_nvm.Latency.nvm_write_ns
-             + (st.Mirror_nvm.Stats.nvm_read * cfg.Mirror_nvm.Latency.nvm_read_ns)
-             )
-    done;
-    let fops = float_of_int (max 1 !ops) in
+    let acc, wall =
+      sched_runs ~who:"run_alloc_panel" ~seeds (fun seed ->
+          let region = Mirror_nvm.Region.create ~track_slots:false () in
+          let heap =
+            H.create ~words:((threads * ops_per_task * 12) + 1024) ~policy
+              region
+          in
+          (* per-fiber pools of live payloads; fiber i frees from fiber
+             i+1's pool, so under Sharded every free is a cross-arena
+             remote free *)
+          let pools = Array.init threads (fun _ -> ref []) in
+          ( region,
+            List.init threads (fun i () ->
+                let rng = Rng.split ~seed i in
+                let mine = pools.(i) and theirs = pools.((i + 1) mod threads) in
+                for _ = 1 to ops_per_task do
+                  match !theirs with
+                  | p :: rest when Rng.int rng 10 < 4 ->
+                      theirs := rest;
+                      H.free heap p
+                  | _ ->
+                      (* bind before the push: alloc yields, and the
+                         neighbour pops from [mine] concurrently *)
+                      let p = H.alloc heap (1 + Rng.int rng 8) in
+                      mine := p :: !mine
+                done) ))
+    in
+    let ops = seeds * threads * ops_per_task in
+    let fops = float_of_int (max 1 ops) in
     let serial, parallel =
       match policy with
-      | H.Global_lock -> (!persist_ns, 0.)
-      | H.Sharded -> (0., !persist_ns)
+      | H.Global_lock -> (persist_ns acc, 0.)
+      | H.Sharded -> (0., persist_ns acc)
     in
     let elapsed_ns =
       serial
       +. ((parallel +. (float_of_int base_op_ns *. fops))
          /. float_of_int threads)
     in
-    {
-      ap_policy = alloc_policy_name policy;
-      ap_threads = threads;
-      ap_ops = !ops;
-      ap_mops = fops /. elapsed_ns *. 1e3;
-      ap_wall_ms = !wall;
-      ap_carves = acc.Mirror_nvm.Stats.alloc_carve;
-      ap_remote_frees = acc.Mirror_nvm.Stats.alloc_remote_free;
-      ap_drains = acc.Mirror_nvm.Stats.alloc_remote_drain;
-      ap_flushes = float_of_int acc.Mirror_nvm.Stats.flush /. fops;
-      ap_fences = float_of_int acc.Mirror_nvm.Stats.fence /. fops;
-    }
+    let mops = fops /. elapsed_ns *. 1e3 in
+    let per_op n = Panel.Float (float_of_int n /. fops, 4) in
+    ( mops,
+      fun lock_mops ->
+        Panel.
+          [
+            Str (alloc_policy_name policy);
+            Int threads;
+            Int ops;
+            Float (mops, 3);
+            Float (wall, 3);
+            Int acc.Mirror_nvm.Stats.alloc_carve;
+            Int acc.Mirror_nvm.Stats.alloc_remote_free;
+            Int acc.Mirror_nvm.Stats.alloc_remote_drain;
+            per_op acc.Mirror_nvm.Stats.flush;
+            per_op acc.Mirror_nvm.Stats.fence;
+            Float (mops /. lock_mops, 3);
+          ] )
   in
-  List.concat_map
-    (fun threads ->
-      [ run_one Mirror_nvmheap.Heap.Global_lock threads;
-        run_one Mirror_nvmheap.Heap.Sharded threads ])
-    threads_points
-
-let alloc_csv_header =
-  "policy,threads,ops,modeled_mops,wall_ms,carves,remote_frees,drains,flushes_per_op,fences_per_op"
-
-let alloc_point_to_csv p =
-  Printf.sprintf "%s,%d,%d,%.3f,%.3f,%d,%d,%d,%.4f,%.4f" p.ap_policy
-    p.ap_threads p.ap_ops p.ap_mops p.ap_wall_ms p.ap_carves p.ap_remote_frees
-    p.ap_drains p.ap_flushes p.ap_fences
+  let rows =
+    List.concat_map
+      (fun threads ->
+        let ((lock_mops, _) as lock) = run_one H.Global_lock threads in
+        List.map
+          (fun (_, row) -> row lock_mops)
+          [ lock; run_one H.Sharded threads ])
+      threads_points
+  in
+  Panel.make "alloc"
+    (cols
+       "policy,threads,ops,modeled_mops,wall_ms,carves,remote_frees,drains,flushes_per_op,fences_per_op,speedup_vs_lock")
+    rows
 
 (* -- line panel: cache-line coalescing of flushes --------------------------- *)
 
-(** The line-coalescing panel: insert-heavy Mirror workloads at several
-    [slots_per_line] settings.  Insertions allocate one or more repp
-    fields and then flush the destination before the linearizing CAS;
-    with [slots_per_line = 1] (the seed's slot-granular model) every one
-    of those write-backs is a separate charged flush, while with a wider
-    line the [make_near] placements carve the fresh fields from the
-    destination's line and the per-line dirty map coalesces them into a
-    single charged flush ({!Mirror_nvm.Stats} [flush_coalesced] counts
-    the elided ones).  The driver is insert-only over per-fiber disjoint
-    key stripes, so (almost) every operation takes the allocating path
-    and the flushes/op column is dominated by exactly the cost the line
-    map targets.  Counts are exact and deterministic; every structure's
-    slots=1 row doubles as its own baseline, so each wider row carries
-    its flush-reduction ratio. *)
-type line_point = {
-  lp_ds : string;
-  lp_slots : int;  (** region slots_per_line for this row *)
-  lp_ops : int;  (** completed operations, summed over seeds *)
-  lp_flushes : float;  (** charged flushes per op *)
-  lp_coalesced : float;  (** line-coalesced (uncharged) flushes per op *)
-  lp_fences : float;  (** charged fences per op *)
-  lp_baseline_flushes : float;  (** charged flushes per op at slots=1 *)
-  lp_reduction : float;  (** baseline / charged flushes per op *)
-}
-
-(** The slots-per-line sweep of the line panel; also the exact vocabulary
-    the [--slots-per-line] flags of bench/main.exe and bin/mcheck.exe
-    accept (both exit 2 listing it on anything else). *)
 let line_slots = [ 1; 4; 8 ]
-
-(** The three multi-field structures of the line panel: the linked list
-    (one fresh field per insert, chained to the predecessor's line), the
-    external BST (two fresh edge fields per insert) and the skip list
-    (one fresh field per level). *)
 let line_structures = [ "list"; "bst"; "skiplist" ]
 
 let run_line_panel ?(slots = line_slots) ?(threads = 2) ?(ops_per_task = 200)
-    ?(seeds = 4) () : line_point list =
+    ?(seeds = 4) () =
   let ds_of = function
     | "list" -> Sets.List_ds
     | "bst" -> Sets.Bst_ds
@@ -803,173 +639,117 @@ let run_line_panel ?(slots = line_slots) ?(threads = 2) ?(ops_per_task = 200)
      shared persist path that per-core hardware would not have, and one
      that scales with the fiber count, not with the placement quality
      this panel gates. *)
-  let driver ds region _seed =
-    let (module S : Sets.SET) =
-      Sets.make ds (Mirror_prim.Prim.by_name region "mirror")
-    in
-    let range = threads * ops_per_task in
-    let t = S.create ~capacity:range () in
-    List.init threads (fun i () ->
-        for j = 0 to ops_per_task - 1 do
-          let k = (i * ops_per_task) + j in
-          ignore (S.insert t k k)
-        done)
-  in
   let measure name slots_per_line =
     let ds = ds_of name in
-    let acc = Mirror_nvm.Stats.zero () in
-    let ops = ref 0 in
-    for seed = 1 to seeds do
-      let region =
-        Mirror_nvm.Region.create ~track_slots:false ~slots_per_line ()
-      in
-      let tasks = driver ds region seed in
-      Mirror_nvm.Stats.reset_all ();
-      let o = Mirror_schedsim.Sched.run ~seed tasks in
-      if not o.Mirror_schedsim.Sched.completed then
-        failwith "run_line_panel: schedsim run did not complete";
-      Mirror_nvm.Stats.add ~into:acc (Mirror_nvm.Stats.total ());
-      ops := !ops + (threads * ops_per_task)
-    done;
-    (max 1 !ops, acc)
+    let acc, _ =
+      sched_runs ~who:"run_line_panel" ~seeds (fun _seed ->
+          let region =
+            Mirror_nvm.Region.create ~track_slots:false ~slots_per_line ()
+          in
+          let (module S : Sets.SET) =
+            Sets.make ds (Mirror_prim.Prim.by_name region "mirror")
+          in
+          let range = threads * ops_per_task in
+          let t = S.create ~capacity:range () in
+          ( region,
+            List.init threads (fun i () ->
+                for j = 0 to ops_per_task - 1 do
+                  let k = (i * ops_per_task) + j in
+                  ignore (S.insert t k k)
+                done) ))
+    in
+    (max 1 (seeds * threads * ops_per_task), acc)
   in
-  List.concat_map
-    (fun name ->
-      let bops, base = measure name 1 in
-      let baseline =
-        float_of_int base.Mirror_nvm.Stats.flush /. float_of_int bops
-      in
-      List.map
-        (fun slots ->
-          let ops, st = if slots = 1 then (bops, base) else measure name slots in
-          let fops = float_of_int ops in
-          let flushes = float_of_int st.Mirror_nvm.Stats.flush /. fops in
-          {
-            lp_ds = name;
-            lp_slots = slots;
-            lp_ops = ops;
-            lp_flushes = flushes;
-            lp_coalesced =
-              float_of_int st.Mirror_nvm.Stats.flush_coalesced /. fops;
-            lp_fences = float_of_int st.Mirror_nvm.Stats.fence /. fops;
-            lp_baseline_flushes = baseline;
-            lp_reduction =
-              (if flushes > 0. then baseline /. flushes else Float.infinity);
-          })
-        slots)
-    line_structures
-
-let line_csv_header =
-  "ds,slots_per_line,ops,flushes_per_op,coalesced_per_op,fences_per_op,baseline_flushes_per_op,flush_reduction"
-
-let line_point_to_csv p =
-  Printf.sprintf "%s,%d,%d,%.4f,%.4f,%.4f,%.4f,%.2f" p.lp_ds p.lp_slots
-    p.lp_ops p.lp_flushes p.lp_coalesced p.lp_fences p.lp_baseline_flushes
-    p.lp_reduction
+  let rows =
+    List.concat_map
+      (fun name ->
+        let bops, base = measure name 1 in
+        let baseline =
+          float_of_int base.Mirror_nvm.Stats.flush /. float_of_int bops
+        in
+        List.map
+          (fun slots ->
+            let ops, st =
+              if slots = 1 then (bops, base) else measure name slots
+            in
+            let fops = float_of_int ops in
+            let per_op n = float_of_int n /. fops in
+            let flushes = per_op st.Mirror_nvm.Stats.flush in
+            Panel.
+              [
+                Str name;
+                Int slots;
+                Int ops;
+                Float (flushes, 4);
+                Float (per_op st.Mirror_nvm.Stats.flush_coalesced, 4);
+                Float (per_op st.Mirror_nvm.Stats.fence, 4);
+                Float (baseline, 4);
+                Float
+                  ( (if flushes > 0. then baseline /. flushes
+                     else Float.infinity),
+                    2 );
+              ])
+          slots)
+      line_structures
+  in
+  Panel.make "line"
+    (cols
+       "ds,slots_per_line,ops,flushes_per_op,coalesced_per_op,fences_per_op,baseline_flushes_per_op,flush_reduction")
+    rows
 
 (* -- scaling panel: modeled speedup at 1..16 logical threads ---------------- *)
 
-(** The scaling tier: the same contended drivers as the elision panel
-    ({!contended_tasks}) run at every point of the extended thread axis,
-    with deterministic Amdahl-priced throughput.  The structures are
-    lock-free, so every charged persist cost is parallel work:
-    [elapsed = (persist_ns + base_op_ns * ops) / threads], where
-    [persist_ns] prices the exact flush/fence/NVMM-access counts of the
-    run through the {!Mirror_nvm.Latency} config.  Contention shows up
-    honestly — a hotter structure inflates its per-op charged counts
-    (CAS retries, helping) and its cross-thread NUMA traffic, both of
-    which eat into the modeled speedup.  [sp_wall_ms] is the measured
-    wall clock of the schedsim runs: every fiber timeshares one OS
-    thread, so it reports simulation cost, not parallel speedup.
-
-    The panel runs with the NUMA remote-line knob on
-    ([numa_remote_ns], default 150 ns — roughly an Optane cross-socket
-    read surcharge), restored afterwards: remote charging moves no
-    control flow, so all counts stay deterministic, and the remote
-    term prices the cross-thread sharing that uniform-memory modeling
-    would hide. *)
-type scaling_point = {
-  sp_ds : string;
-  sp_threads : int;
-  sp_ops : int;  (** completed operations, summed over seeds *)
-  sp_mops : float;  (** Amdahl-priced modeled throughput *)
-  sp_speedup : float;  (** [sp_mops] over the structure's 1-thread row *)
-  sp_remote : float;  (** NUMA remote-line accesses per op *)
-  sp_wall_ms : float;  (** measured (timeshared) wall clock *)
-}
-
-(** The scaling panel's structures: the two set shapes of the paper's
-    figures plus the queue and the bare counter — the two extremes of
-    the contention spectrum (disjoint-ish traffic vs a single hot
-    word). *)
 let scaling_structures = [ "list"; "hash"; "queue"; "counter" ]
 
 let run_scaling_panel ?(structures = scaling_structures)
     ?(threads_points = [ 1; 2; 4; 8; 16 ]) ?(ops_per_task = 40) ?(seeds = 4)
-    ?(base_op_ns = 40) ?(numa_remote_ns = 150) () : scaling_point list =
+    ?(base_op_ns = 40) ?(numa_remote_ns = 150) () =
   let saved_remote = Mirror_nvm.Latency.numa_remote_ns () in
   Mirror_nvm.Latency.set_numa_remote_ns numa_remote_ns;
   Fun.protect
     ~finally:(fun () -> Mirror_nvm.Latency.set_numa_remote_ns saved_remote)
   @@ fun () ->
   let run_one ds threads =
-    let acc = Mirror_nvm.Stats.zero () in
-    let ops = ref 0 and persist_ns = ref 0. and wall = ref 0. in
-    for seed = 1 to seeds do
-      let region = Mirror_nvm.Region.create ~track_slots:false () in
-      let tasks = contended_tasks ds ~threads ~ops_per_task region seed in
-      Mirror_nvm.Stats.reset_all ();
-      let t0 = Unix.gettimeofday () in
-      let o = Mirror_schedsim.Sched.run ~seed tasks in
-      wall := !wall +. ((Unix.gettimeofday () -. t0) *. 1e3);
-      if not o.Mirror_schedsim.Sched.completed then
-        failwith "run_scaling_panel: schedsim run did not complete";
-      let st = Mirror_nvm.Stats.total () in
-      Mirror_nvm.Stats.add ~into:acc st;
-      ops := !ops + (threads * ops_per_task);
-      let cfg = Mirror_nvm.Latency.get_config () in
-      persist_ns :=
-        !persist_ns
-        +. float_of_int
-             ((st.Mirror_nvm.Stats.flush * cfg.Mirror_nvm.Latency.flush_ns)
-             + (st.Mirror_nvm.Stats.fence * cfg.Mirror_nvm.Latency.fence_ns)
-             + (st.Mirror_nvm.Stats.nvm_write + st.Mirror_nvm.Stats.nvm_cas)
-               * cfg.Mirror_nvm.Latency.nvm_write_ns
-             + (st.Mirror_nvm.Stats.nvm_read * cfg.Mirror_nvm.Latency.nvm_read_ns)
-             + (st.Mirror_nvm.Stats.nvm_remote * numa_remote_ns))
-    done;
-    let fops = float_of_int (max 1 !ops) in
+    let acc, wall =
+      sched_runs ~who:"run_scaling_panel" ~seeds (fun seed ->
+          let region = Mirror_nvm.Region.create ~track_slots:false () in
+          (region, contended_tasks ds ~threads ~ops_per_task region seed))
+    in
+    let ops = seeds * threads * ops_per_task in
+    let fops = float_of_int (max 1 ops) in
     (* lock-free structures: all priced work is parallel; the serial term
        of the Amdahl split is empty *)
     let elapsed_ns =
-      (!persist_ns +. (float_of_int base_op_ns *. fops))
+      (persist_ns ~remote_ns:numa_remote_ns acc
+      +. (float_of_int base_op_ns *. fops))
       /. float_of_int threads
     in
-    {
-      sp_ds = ds;
-      sp_threads = threads;
-      sp_ops = !ops;
-      sp_mops = (fops /. elapsed_ns *. 1e3);
-      sp_speedup = 1.0 (* filled in against the 1-thread row below *);
-      sp_remote = float_of_int acc.Mirror_nvm.Stats.nvm_remote /. fops;
-      sp_wall_ms = !wall;
-    }
+    let mops = fops /. elapsed_ns *. 1e3 in
+    ( mops,
+      fun base_mops ->
+        Panel.
+          [
+            Str ds;
+            Int threads;
+            Int ops;
+            Float (mops, 3);
+            Float (mops /. base_mops, 3);
+            Float (float_of_int acc.Mirror_nvm.Stats.nvm_remote /. fops, 4);
+            Float (wall, 3);
+          ] )
   in
-  List.concat_map
-    (fun ds ->
-      (* the 1-thread baseline is always measured (and reused when the
-         axis includes it), so every row carries a well-defined speedup *)
-      let base = run_one ds 1 in
-      List.map
-        (fun threads ->
-          let p = if threads = 1 then base else run_one ds threads in
-          { p with sp_speedup = p.sp_mops /. base.sp_mops })
-        threads_points)
-    structures
-
-let scaling_csv_header =
-  "ds,threads,ops,modeled_mops,speedup,remote_per_op,wall_ms"
-
-let scaling_point_to_csv p =
-  Printf.sprintf "%s,%d,%d,%.3f,%.3f,%.4f,%.3f" p.sp_ds p.sp_threads p.sp_ops
-    p.sp_mops p.sp_speedup p.sp_remote p.sp_wall_ms
+  let rows =
+    List.concat_map
+      (fun ds ->
+        (* the 1-thread baseline is always measured (and reused when the
+           axis includes it), so every row carries a well-defined speedup *)
+        let ((base_mops, _) as base) = run_one ds 1 in
+        List.map
+          (fun threads ->
+            snd (if threads = 1 then base else run_one ds threads) base_mops)
+          threads_points)
+      structures
+  in
+  Panel.make "scaling"
+    (cols "ds,threads,ops,modeled_mops,speedup,remote_per_op,wall_ms")
+    rows

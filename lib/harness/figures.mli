@@ -55,68 +55,45 @@ val figure6 : config -> panel list
 val figure7 : config -> panel list
 val all_panels : config -> panel list
 
+
 type row = { panel : panel; x : int; point : Runner.point }
 
 val run_panel : ?progress:(string -> unit) -> config -> panel -> row list
-val pp_row : Format.formatter -> row -> unit
-val row_to_csv : row -> string
-val csv_header : string
 
-(** {1 The elision panel}
+val figures_panel : row list -> Panel.t
+(** The figure rows as the ["figures"] panel, one row per (panel, x,
+    algorithm).  Columns: [panel,ds,algo,x,threads,mops,modeled_mops,]
+    [nvm_reads_per_op,nvm_writes_per_op,flushes_per_op,fences_per_op,]
+    [flushes_elided_per_op,fences_elided_per_op,epoch_advances_per_op,]
+    [fences_batched_per_op,writes_deferred_per_op]; the trailing
+    epoch-clock columns are 0 for every strict algorithm.
+    bench/budgets.csv commits per-(structure, algorithm) ceilings on
+    [flushes_per_op] and [fences_per_op]. *)
 
-    Flush/fence elision on vs off for the Mirror-transformed structures,
-    measured under the deterministic scheduler (where the helping and retry
-    paths that elision targets actually fire on a one-core box).  Counts
-    are exact and deterministic; elision changes no control flow, so the
-    off/on rows of a structure describe the same executions and
-    [charged_off = charged_on + elided_on] holds per event kind. *)
+(** {1 Side panels}
 
-type elision_point = {
-  e_ds : string;
-  e_elide : bool;
-  e_ops : int;  (** completed operations, summed over seeds *)
-  e_flushes : float;  (** charged flushes per op *)
-  e_fences : float;  (** charged fences per op *)
-  e_flushes_elided : float;
-  e_fences_elided : float;
-  e_helps : float;  (** helping-path executions per op *)
-}
+    Each side panel runs under the deterministic scheduler (schedsim), so
+    its charged counts are exact and reproducible on any machine; only the
+    [wall_ms] columns are measured.  Each returns a {!Panel.t} named after
+    the panel. *)
 
 val elision_structures : string list
 (** ["list"; "hash"; "bst"; "skiplist"; "queue"; "stack"; "pqueue";
-    "counter"]. *)
+    "counter"]: the four set structures of the paper's evaluation, the
+    queue, stack and priority queue of the generality claim, and the bare
+    primitive as a contended counter (one flush + one fence per update). *)
 
 val run_elision_panel :
-  ?threads:int -> ?ops_per_task:int -> ?seeds:int -> unit -> elision_point list
-(** Two rows (elide off, elide on) per structure, in
-    {!elision_structures} order. *)
-
-val elision_csv_header : string
-val elision_point_to_csv : elision_point -> string
-
-(** {1 The buffered panel}
-
-    Epoch-batched persistence against strict Mirror: the same contended
-    schedsim workload per (structure, threads) cell, run under strict
-    Mirror and under the buffered discipline at several epoch lengths.
-    Counts are exact and deterministic; the open epoch is drained before
-    counters are read so the deferred tail is charged to its run.
-    bench/budgets.csv commits ceilings on [b_fences] and floors on
-    [b_fence_reduction] at epoch length 256. *)
-
-type buffered_point = {
-  b_ds : string;
-  b_threads : int;
-  b_epoch_len : int;  (** deferred persists per epoch *)
-  b_ops : int;  (** completed operations, summed over seeds *)
-  b_strict_fences : float;  (** strict Mirror fences per op (baseline) *)
-  b_fences : float;  (** buffered charged fences per op *)
-  b_fence_reduction : float;  (** strict / buffered fences per op *)
-  b_flushes : float;  (** buffered charged flushes per op *)
-  b_epoch_advances : float;
-  b_fences_batched : float;
-  b_writes_deferred : float;
-}
+  ?threads:int -> ?ops_per_task:int -> ?seeds:int -> unit -> Panel.t
+(** Flush/fence elision off vs on for each Mirror-transformed structure,
+    contended fibers preempted at every protocol step (so the helping and
+    retry paths that elision targets fire).  Elision changes no control
+    flow, so the off/on rows of a structure describe the same executions
+    and [charged_off = charged_on + elided_on] holds per event kind.
+    Two rows (elide off, elide on) per structure, in
+    {!elision_structures} order.  Columns:
+    [ds,elide,ops,flushes_per_op,fences_per_op,flushes_elided_per_op,]
+    [fences_elided_per_op,helps_per_op]; [ops] sums over seeds. *)
 
 val buffered_structures : string list
 (** ["list"; "hash"; "queue"; "stack"]. *)
@@ -127,37 +104,20 @@ val run_buffered_panel :
   ?ops_per_task:int ->
   ?seeds:int ->
   unit ->
-  buffered_point list
-(** One row per (structure, threads, epoch length), structures in
-    {!buffered_structures} order (defaults: 1/2/4 threads, epoch lengths
-    1/16/256, 40 ops per fiber, 4 seeds). *)
-
-val buffered_csv_header : string
-val buffered_point_to_csv : buffered_point -> string
-
-(** {1 The line panel}
-
-    Cache-line coalescing of flushes: insert-only Mirror workloads over
-    disjoint per-fiber key stripes (so every operation takes the
-    allocating path), swept over {!line_slots} slots per simulated cache
-    line.  At slots=1 — the seed's slot-granular model and every
-    region's default — each repp write-back is a separate charged
-    flush; wider lines let [make_near] placement carve fresh fields
-    from the destination's line so the per-line dirty map coalesces
-    them into one charged flush.  Counts are exact and deterministic;
-    bench/budgets.csv commits floors on [lp_reduction] at 8 slots per
-    line via its [line,slots8,...] rows. *)
-
-type line_point = {
-  lp_ds : string;
-  lp_slots : int;  (** region slots_per_line for this row *)
-  lp_ops : int;  (** completed operations, summed over seeds *)
-  lp_flushes : float;  (** charged flushes per op *)
-  lp_coalesced : float;  (** line-coalesced (uncharged) flushes per op *)
-  lp_fences : float;  (** charged fences per op *)
-  lp_baseline_flushes : float;  (** charged flushes per op at slots=1 *)
-  lp_reduction : float;  (** baseline / charged flushes per op *)
-}
+  Panel.t
+(** Epoch-batched persistence against strict Mirror: the same contended
+    workload per (structure, threads) cell, run under strict Mirror and
+    under the buffered discipline at several epoch lengths.  The open
+    epoch is drained before counters are read, so the deferred tail is
+    charged to its run.  One row per (structure, threads, epoch length),
+    structures in {!buffered_structures} order (defaults: 1/2/4/8/16
+    threads, epoch lengths 1/16/256, 40 ops per fiber, 4 seeds).
+    Columns: [ds,threads,epoch_len,ops,strict_fences_per_op,]
+    [fences_per_op,fence_reduction,flushes_per_op,epoch_advances_per_op,]
+    [fences_batched_per_op,writes_deferred_per_op], where
+    [fence_reduction] is strict over buffered fences per op.
+    bench/budgets.csv commits ceilings on [fences_per_op] and floors on
+    [fence_reduction] at epoch length 256. *)
 
 val line_slots : int list
 (** [[1; 4; 8]] — the sweep, and the exact vocabulary the
@@ -173,71 +133,43 @@ val run_line_panel :
   ?ops_per_task:int ->
   ?seeds:int ->
   unit ->
-  line_point list
-(** One row per (structure, slots-per-line) in {!line_structures} x
-    [slots] order (defaults: the {!line_slots} sweep, 2 fibers, 200
-    inserts per fiber, 4 seeds — the fiber count is deliberately low
-    because every fiber timeshares one simulated core, so each fence
-    drains the whole pending set and fragments the other fibers'
-    coalescing windows).  Each structure's slots=1 measurement is
-    always taken and reused as the [lp_baseline_flushes] of all its
-    rows, whether or not [1] is in [slots]. *)
-
-val line_csv_header : string
-val line_point_to_csv : line_point -> string
-
-(** {1 Recovery panel} *)
-
-type recovery_point = {
-  rp_shape : string;
-  rp_live : int;  (** live objects in the recovered heap *)
-  rp_garbage : int;  (** unreachable blocks the sweep must reclaim *)
-  rp_domains : int;
-  rp_wall_ms : float;  (** measured, real [Domain.spawn] workers *)
-  rp_model_ms : float;
-      (** critical-path worker cost priced at the configured NVMM read
-          latency, from a deterministic-scheduler run — the
-          machine-independent metric the speedup budget gates *)
-  rp_marked : int;  (** nodes traced (duplicates included) *)
-  rp_swept : int;
-  rp_steals : int;
-}
+  Panel.t
+(** Cache-line coalescing of flushes: insert-only Mirror workloads over
+    disjoint per-fiber key stripes (so every operation takes the
+    allocating path) at several slots per simulated cache line.  At
+    slots=1 — every region's default — each repp write-back is a separate
+    charged flush; wider lines let [make_near] placement carve fresh
+    fields from the destination's line so the per-line dirty map
+    coalesces them into one charged flush.  One row per (structure,
+    slots-per-line) in {!line_structures} x [slots] order (defaults: the
+    {!line_slots} sweep, 2 fibers, 200 inserts per fiber, 4 seeds — the
+    fiber count is deliberately low because every fiber timeshares one
+    simulated core, so each fence drains the whole pending set and
+    fragments the other fibers' coalescing windows).  Columns:
+    [ds,slots_per_line,ops,flushes_per_op,coalesced_per_op,fences_per_op,]
+    [baseline_flushes_per_op,flush_reduction]; each structure's slots=1
+    measurement is always taken and is the baseline of all its rows.
+    bench/budgets.csv commits floors on [flush_reduction] at 8 slots per
+    line. *)
 
 val run_recovery_panel :
   ?shapes:Mirror_nvmheap.Shapes.shape list ->
   ?live_points:int list ->
   ?domain_points:int list ->
   unit ->
-  recovery_point list
-(** Parallel heap-recovery latency over live-object count x worker count
-    (defaults: forest shape, 10k and 100k live objects, 1/2/4 workers). *)
-
-val recovery_csv_header : string
-val recovery_point_to_csv : recovery_point -> string
-
-(** {1 Alloc panel}
-
-    Allocator throughput on an alloc/free-heavy workload: the sharded
-    per-thread arenas against the old global-lock allocator, under the
-    deterministic scheduler.  [ap_mops] is a deterministic model, not wall
-    clock: the run's charged NVMM persist events are priced at the
-    configured latencies; under [Global_lock] the whole priced cost is
-    serial (every persist happens holding the allocator lock), under
-    [Sharded] it divides across threads.  bench/budgets.csv commits floors
-    on the sharded/lock ratio. *)
-
-type alloc_point = {
-  ap_policy : string;  (** "sharded" or "lock" *)
-  ap_threads : int;
-  ap_ops : int;  (** alloc + free operations, summed over seeds *)
-  ap_mops : float;  (** modeled throughput *)
-  ap_wall_ms : float;  (** measured wall clock of the schedsim runs *)
-  ap_carves : int;  (** chunks carved off the global bump pointer *)
-  ap_remote_frees : int;  (** frees routed to another thread's arena *)
-  ap_drains : int;  (** non-empty remote-free-list drains *)
-  ap_flushes : float;  (** charged flushes per op *)
-  ap_fences : float;  (** charged fences per op *)
-}
+  Panel.t
+(** Parallel heap-recovery latency over shape x live-object count x
+    worker count (defaults: forest shape, 10k and 100k live objects,
+    1/2/4 workers; [domain_points] must include 1).  Columns:
+    [shape,live,garbage,domains,wall_ms,model_ms,marked,swept,steals,]
+    [speedup].  [wall_ms] is {!Mirror_nvmheap.Heap.recover} with real
+    [Domain.spawn] workers, so it depends on the cores the host grants.
+    [model_ms] is machine-independent: the same worker closures run under
+    the deterministic scheduler, each worker's node/header tallies are
+    priced at the configured NVMM read latency, and the phase cost is the
+    maximum worker's — the critical path on one core per worker.
+    [speedup] is the 1-worker [model_ms] over this row's; bench/budgets.csv
+    commits floors on it. *)
 
 val alloc_policy_name : Mirror_nvmheap.Heap.policy -> string
 
@@ -247,38 +179,21 @@ val run_alloc_panel :
   ?seeds:int ->
   ?base_op_ns:int ->
   unit ->
-  alloc_point list
-(** Two rows (lock, sharded) per thread count, in [threads_points] order
-    (default 1/2/4/8/16 logical threads, 400 ops per fiber, 4 seeds,
-    [base_op_ns] = 20 of volatile bookkeeping per operation). *)
-
-val alloc_csv_header : string
-val alloc_point_to_csv : alloc_point -> string
-
-(** {1 Scaling panel}
-
-    The 8/16-thread scaling tier: the elision panel's contended drivers
-    run at every point of the extended thread axis, with deterministic
-    Amdahl-priced throughput.  The structures are lock-free, so the
-    priced persist cost divides across threads; contention shows up as
-    per-op charged-count inflation (retries, helping) and as NUMA
-    remote-line traffic — the panel runs with the remote-line knob on
-    ([numa_remote_ns], restored afterwards), which adds pricing but no
-    control flow, so all counts stay deterministic.  [sp_wall_ms] is the
-    honest timeshared wall clock of the schedsim runs (every fiber
-    shares one OS thread — simulation cost, not parallel speedup).
-    bench/budgets.csv commits per-structure floors on [sp_speedup] at 8
-    and 16 threads. *)
-
-type scaling_point = {
-  sp_ds : string;
-  sp_threads : int;
-  sp_ops : int;  (** completed operations, summed over seeds *)
-  sp_mops : float;  (** Amdahl-priced modeled throughput *)
-  sp_speedup : float;  (** [sp_mops] over the structure's 1-thread row *)
-  sp_remote : float;  (** NUMA remote-line accesses per op *)
-  sp_wall_ms : float;  (** measured (timeshared) wall clock *)
-}
+  Panel.t
+(** Allocator throughput on an alloc/free-heavy workload: the sharded
+    per-thread arenas against the old global-lock allocator.  Each fiber
+    allocates into its own pool and frees from its neighbour's, so the
+    sharded remote-free path fires.  Two rows (lock, sharded) per thread
+    count, in [threads_points] order (default 1/2/4/8/16 logical threads,
+    400 ops per fiber, 4 seeds, [base_op_ns] = 20 of volatile bookkeeping
+    per operation).  Columns: [policy,threads,ops,modeled_mops,wall_ms,]
+    [carves,remote_frees,drains,flushes_per_op,fences_per_op,]
+    [speedup_vs_lock].  [modeled_mops] is a deterministic model: the
+    run's charged NVMM persist events priced at the configured latencies,
+    all serial under [Global_lock] (every persist holds the allocator
+    lock), divided across threads under [Sharded].  [speedup_vs_lock] is
+    the row's [modeled_mops] over the lock row at the same thread count;
+    bench/budgets.csv commits floors on it. *)
 
 val scaling_structures : string list
 (** ["list"; "hash"; "queue"; "counter"] — two set shapes plus the two
@@ -292,12 +207,20 @@ val run_scaling_panel :
   ?base_op_ns:int ->
   ?numa_remote_ns:int ->
   unit ->
-  scaling_point list
-(** One row per (structure, thread count), structures outer, in
-    [threads_points] order (default 1/2/4/8/16 logical threads, 40 ops
-    per fiber, 4 seeds, [base_op_ns] = 40, [numa_remote_ns] = 150).  The
-    1-thread baseline is always measured, so [sp_speedup] is defined
-    even when the axis omits 1. *)
-
-val scaling_csv_header : string
-val scaling_point_to_csv : scaling_point -> string
+  Panel.t
+(** The 8/16-thread scaling tier: the elision panel's contended drivers at
+    every point of the extended thread axis, with deterministic
+    Amdahl-priced throughput.  The structures are lock-free, so the
+    priced persist cost divides across threads; contention shows up as
+    per-op charged-count inflation (retries, helping) and as NUMA
+    remote-line traffic — the panel runs with the remote-line knob on
+    ([numa_remote_ns], restored afterwards), which adds pricing but no
+    control flow.  One row per (structure, thread count), structures
+    outer, in [threads_points] order (default 1/2/4/8/16 logical threads,
+    40 ops per fiber, 4 seeds, [base_op_ns] = 40, [numa_remote_ns] =
+    150).  Columns: [ds,threads,ops,modeled_mops,speedup,remote_per_op,]
+    [wall_ms]; [speedup] is over the structure's 1-thread row, which is
+    always measured, and [wall_ms] is the schedsim wall clock (every
+    fiber shares one OS thread — simulation cost, not parallel speedup).
+    bench/budgets.csv commits per-structure floors on [speedup] at 8 and
+    16 threads. *)

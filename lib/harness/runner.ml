@@ -4,10 +4,10 @@
     against one shared structure for a fixed wall-clock duration, with NVMM
     latency injection enabled, and reports:
 
-    - measured throughput (Mops/s) — on this single-core container the
-      domains timeshare, so absolute numbers are low, but the *ratios*
-      between algorithms are driven by the injected per-op costs and follow
-      the paper's;
+    - measured throughput (Mops/s) — when there are more domains than
+      cores the domains timeshare, so absolute numbers are low, but the
+      *ratios* between algorithms are driven by the injected per-op costs
+      and follow the paper's;
     - per-operation event counts (NVMM reads/writes, flushes, fences);
     - modeled throughput: the deterministic cost model
       [threads / (per-op modeled latency)], i.e. the throughput an ideal
@@ -36,7 +36,7 @@ type point = {
   threads : int;
   ops : int;
   seconds : float;
-  mops : float;  (** measured, timeshared *)
+  mops : float;  (** measured wall clock *)
   modeled_mops : float;  (** cost-model, ideal scaling *)
   per_op : per_op;
 }
@@ -77,6 +77,22 @@ let modeled_ns (p : per_op) =
   +. (p.nvm_writes *. float_of_int c.Latency.nvm_write_ns)
   +. (p.flushes *. float_of_int c.Latency.flush_ns)
   +. (p.fences *. float_of_int c.Latency.fence_ns)
+
+let per_op_of_stats (st : Stats.t) ~ops =
+  let fops = float_of_int (max 1 ops) in
+  let per n = float_of_int n /. fops in
+  {
+    dram_reads = per st.Stats.dram_read;
+    nvm_reads = per st.Stats.nvm_read;
+    nvm_writes = per (st.Stats.nvm_write + st.Stats.nvm_cas);
+    flushes = per st.Stats.flush;
+    fences = per st.Stats.fence;
+    flushes_elided = per st.Stats.flush_elided;
+    fences_elided = per st.Stats.fence_elided;
+    epoch_advances = per st.Stats.epoch_advance;
+    fences_batched = per st.Stats.fence_batched;
+    writes_deferred = per st.Stats.writes_deferred;
+  }
 
 let run ?(seconds = 0.3) ?(seed = 42) ?(llc_bytes = 0)
     ?(dist = Mirror_workload.Workload.Uniform) ~threads ~range ~mix
@@ -122,23 +138,7 @@ let run ?(seconds = 0.3) ?(seed = 42) ?(llc_bytes = 0)
   let t1 = Unix.gettimeofday () in
   Latency.set_enabled false;
   let ops = Array.fold_left ( + ) 0 counts in
-  let st = Stats.total () in
-  let fops = float_of_int (max 1 ops) in
-  let per_op =
-    {
-      dram_reads = float_of_int st.Stats.dram_read /. fops;
-      nvm_reads = float_of_int st.Stats.nvm_read /. fops;
-      nvm_writes =
-        float_of_int (st.Stats.nvm_write + st.Stats.nvm_cas) /. fops;
-      flushes = float_of_int st.Stats.flush /. fops;
-      fences = float_of_int st.Stats.fence /. fops;
-      flushes_elided = float_of_int st.Stats.flush_elided /. fops;
-      fences_elided = float_of_int st.Stats.fence_elided /. fops;
-      epoch_advances = float_of_int st.Stats.epoch_advance /. fops;
-      fences_batched = float_of_int st.Stats.fence_batched /. fops;
-      writes_deferred = float_of_int st.Stats.writes_deferred /. fops;
-    }
-  in
+  let per_op = per_op_of_stats (Stats.total ()) ~ops in
   let wall = t1 -. t0 in
   let result =
     {

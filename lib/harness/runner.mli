@@ -23,7 +23,7 @@ type point = {
   threads : int;
   ops : int;
   seconds : float;
-  mops : float;  (** measured (domains timeshare the core) *)
+  mops : float;  (** measured wall clock *)
   modeled_mops : float;  (** cost model, ideal scaling *)
   per_op : per_op;
 }
@@ -34,6 +34,9 @@ val scaled_config :
     LLC. *)
 
 val modeled_ns : per_op -> float
+
+val per_op_of_stats : Mirror_nvm.Stats.t -> ops:int -> per_op
+(** Event counts divided by [max 1 ops]; NVMM CASes count as writes. *)
 
 val run :
   ?seconds:float ->

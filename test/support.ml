@@ -16,6 +16,12 @@ let all_ds = Sets.all_ds
 
 let check b msg = Alcotest.(check bool) msg true b
 
+(** [contains hay needle]: [needle] occurs in [hay]. *)
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 (** Deterministic sequential semantics checks, shared by every variant. *)
 let seq_semantics (make : unit -> Sets.pack) () =
   let (module S) = make () in

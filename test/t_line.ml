@@ -4,6 +4,7 @@
 
 open Mirror_nvm
 module F = Mirror_harness.Figures
+module Panel = Mirror_harness.Panel
 module Psan = Mirror_psan.Psan
 
 let check = Support.check
@@ -173,26 +174,28 @@ let test_panel_reduction () =
      collapse the N per-insert write-backs toward one.  Small-scale twin
      of the budgeted bench panel (bench/budgets.csv pins >= 1.5x at full
      scale); the floor here is looser only because the run is shorter. *)
-  let pts = F.run_line_panel ~slots:[ 1; 8 ] ~ops_per_task:60 ~seeds:2 () in
+  let p = F.run_line_panel ~slots:[ 1; 8 ] ~ops_per_task:60 ~seeds:2 () in
   check
-    (List.length pts = 2 * List.length F.line_structures)
+    (List.length p.Panel.rows = 2 * List.length F.line_structures)
     "two rows per structure";
   List.iter
-    (fun p ->
-      if p.F.lp_slots = 1 then begin
-        check (p.F.lp_coalesced = 0.) (p.F.lp_ds ^ ": no coalescing at 1");
-        check (p.F.lp_reduction = 1.) (p.F.lp_ds ^ ": slots=1 is the baseline")
+    (fun r ->
+      let num col = Panel.to_float (Panel.get p r col) in
+      let ds = Panel.render (Panel.get p r "ds") in
+      if num "slots_per_line" = 1. then begin
+        check (num "coalesced_per_op" = 0.) (ds ^ ": no coalescing at 1");
+        check (num "flush_reduction" = 1.) (ds ^ ": slots=1 is the baseline")
       end
       else begin
-        check (p.F.lp_coalesced > 0.) (p.F.lp_ds ^ ": coalesced flushes at 8");
+        check (num "coalesced_per_op" > 0.) (ds ^ ": coalesced flushes at 8");
         check
-          (p.F.lp_flushes < p.F.lp_baseline_flushes)
-          (p.F.lp_ds ^ ": charged flushes drop");
-        if p.F.lp_reduction < 1.4 then
-          Alcotest.failf "%s: flush reduction %.2f < 1.4 at 8 slots/line"
-            p.F.lp_ds p.F.lp_reduction
+          (num "flushes_per_op" < num "baseline_flushes_per_op")
+          (ds ^ ": charged flushes drop");
+        if num "flush_reduction" < 1.4 then
+          Alcotest.failf "%s: flush reduction %.2f < 1.4 at 8 slots/line" ds
+            (num "flush_reduction")
       end)
-    pts
+    p.Panel.rows
 
 (* -- W1 <-> elision + coalescing equivalence -------------------------------- *)
 

@@ -5,8 +5,8 @@
     rows are committed verbatim below and any substrate change that
     moves a single charged count — the hot-path rework in Stats /
     Region / Hooks explicitly must not — fails here with a diff.
-    Wall-clock columns are excluded from the pins (the alloc projection
-    drops [ap_wall_ms]).  Second, 8/16-thread floors: the scaling panel
+    Wall-clock columns are excluded from the pins (the projection drops
+    [wall_ms]).  Second, 8/16-thread floors: the scaling panel
     must show the sharded allocator's modeled speedup strictly
     improving 4 -> 8 -> 16, and the per-structure scaling speedups must
     clear the floors committed in bench/budgets.csv.
@@ -20,37 +20,39 @@
     then paste /tmp/pins over the [pinned] literal. *)
 
 module F = Mirror_harness.Figures
+module Panel = Mirror_harness.Panel
 
 let check = Support.check
 
-(* Deterministic projections of the panel rows.  The alloc panel's CSV
-   row carries ap_wall_ms (measured wall clock), so alloc rows are
-   re-serialized without it; every other panel's emitter is already
-   wall-free and is reused as the pin format. *)
-
-let alloc_project (p : F.alloc_point) =
-  Printf.sprintf "alloc,%s,%d,%d,%.3f,%d,%d,%d,%.4f,%.4f" p.F.ap_policy
-    p.F.ap_threads p.F.ap_ops p.F.ap_mops p.F.ap_carves p.F.ap_remote_frees
-    p.F.ap_drains p.F.ap_flushes p.F.ap_fences
+(* Deterministic projections of the panel rows: the CSV cells minus the
+   wall-clock column (and the derived speedup_vs_lock, which joined the
+   alloc panel after these pins were taken). *)
+let project tag (p : Panel.t) =
+  let keep =
+    List.filter (fun c -> c <> "wall_ms" && c <> "speedup_vs_lock") p.header
+  in
+  List.map
+    (fun r ->
+      String.concat ","
+        (tag :: List.map (fun c -> Panel.render (Panel.get p r c)) keep))
+    p.rows
 
 let elision_rows ~threads () =
   F.run_elision_panel ~threads ~ops_per_task:10 ~seeds:2 ()
-  |> List.map (fun p ->
-         Printf.sprintf "elision%d,%s" threads (F.elision_point_to_csv p))
+  |> project (Printf.sprintf "elision%d" threads)
 
 let buffered_rows () =
   F.run_buffered_panel ~threads_points:[ 1; 2; 4 ] ~epoch_lens:[ 16 ]
     ~ops_per_task:10 ~seeds:2 ()
-  |> List.map (fun p ->
-         Printf.sprintf "buffered,%s" (F.buffered_point_to_csv p))
+  |> project "buffered"
 
 let line_rows () =
   F.run_line_panel ~slots:[ 4 ] ~threads:2 ~ops_per_task:40 ~seeds:2 ()
-  |> List.map (fun p -> Printf.sprintf "line,%s" (F.line_point_to_csv p))
+  |> project "line"
 
 let alloc_rows () =
   F.run_alloc_panel ~threads_points:[ 1; 2; 4 ] ~ops_per_task:40 ~seeds:2 ()
-  |> List.map alloc_project
+  |> project "alloc"
 
 let current_rows () =
   elision_rows ~threads:1 ()
@@ -160,22 +162,24 @@ let test_pins () =
    low-contention structures must keep improving past 4 threads and
    clear the same floors bench/budgets.csv commits; the panel itself is
    deterministic, so these are exact, not flaky. *)
+(* The cell [col] of the one panel row whose cells match [keys]. *)
+let cell (p : Panel.t) keys col =
+  match Panel.select p keys with
+  | [ r ] -> Panel.to_float (Panel.get p r col)
+  | _ ->
+      Alcotest.failf "no single %s row at %s" p.name
+        (String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) keys))
+
+let dump_pins (p : Panel.t) =
+  match Sys.getenv_opt "MIRROR_PIN_OUT" with
+  | Some path -> Panel.write_csv p (path ^ "." ^ p.name)
+  | None -> ()
+
 let test_scaling_floors () =
-  let pts = F.run_scaling_panel () in
-  (match Sys.getenv_opt "MIRROR_PIN_OUT" with
-  | Some path ->
-      let oc = open_out (path ^ ".scaling") in
-      List.iter
-        (fun p -> output_string oc (F.scaling_point_to_csv p ^ "\n"))
-        pts;
-      close_out oc
-  | None -> ());
+  let p = F.run_scaling_panel () in
+  dump_pins p;
   let sp ds th =
-    match
-      List.find_opt (fun p -> p.F.sp_ds = ds && p.F.sp_threads = th) pts
-    with
-    | Some p -> p.F.sp_speedup
-    | None -> Alcotest.failf "missing scaling row %s@%d" ds th
+    cell p [ ("ds", ds); ("threads", string_of_int th) ] "speedup"
   in
   List.iter
     (fun ds ->
@@ -192,24 +196,12 @@ let test_scaling_floors () =
 (* The sharded allocator's modeled speedup over the global-lock baseline
    must improve strictly 4 -> 8 -> 16 and clear the committed floors. *)
 let test_alloc_floors () =
-  let pts = F.run_alloc_panel () in
-  (match Sys.getenv_opt "MIRROR_PIN_OUT" with
-  | Some path ->
-      let oc = open_out (path ^ ".alloc") in
-      List.iter (fun p -> output_string oc (F.alloc_point_to_csv p ^ "\n")) pts;
-      close_out oc
-  | None -> ());
+  let p = F.run_alloc_panel () in
+  dump_pins p;
   let speedup th =
-    let find pol =
-      match
-        List.find_opt
-          (fun p -> p.F.ap_policy = pol && p.F.ap_threads = th)
-          pts
-      with
-      | Some p -> p.F.ap_mops
-      | None -> Alcotest.failf "missing alloc row %s@%d" pol th
-    in
-    find "sharded" /. find "lock"
+    cell p
+      [ ("policy", "sharded"); ("threads", string_of_int th) ]
+      "speedup_vs_lock"
   in
   check (speedup 8 > speedup 4) "alloc speedup improves 4->8";
   check (speedup 16 > speedup 8) "alloc speedup improves 8->16";

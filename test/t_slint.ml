@@ -20,13 +20,6 @@ let lines_of rule fs =
 let check_lines name rule expected fs =
   Alcotest.(check (list int)) name expected (lines_of rule fs)
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-  in
-  go 0
-
 (* -- L1: substrate encapsulation ------------------------------------------- *)
 
 let l1_src =
@@ -350,7 +343,7 @@ let test_vocab_docs () =
       Alcotest.(check bool)
         (Printf.sprintf "docs table has a | %s | row" id)
         true
-        (contains doc (Printf.sprintf "| %s |" id)))
+        (Support.contains doc (Printf.sprintf "| %s |" id)))
     S.all_rules
 
 let test_vocab_ids () =

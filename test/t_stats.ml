@@ -52,17 +52,12 @@ let test_registry_recycled () =
   Stats.reset_all ();
   check ((Stats.total ()).Stats.alloc = 0) "reset clears drained too"
 
-let contains_sub hay needle =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
-
 let test_pp () =
   let s = Stats.zero () in
   s.Stats.nvm_read <- 1;
   let str = Format.asprintf "%a" Stats.pp s in
   check (String.length str > 10) "pp renders";
-  check (contains_sub str "nvm") "pp mentions nvm"
+  check (Support.contains str "nvm") "pp mentions nvm"
 
 let test_latency_config_roundtrip () =
   let saved = Latency.get_config () in
