@@ -1,6 +1,6 @@
 .PHONY: all build test test-stress bench bench-smoke bench-full examples \
-        mcheck-smoke mcheck-deep litmus-smoke litmus-deep psan-smoke \
-        lint lint-strict fmt ci clean
+        perfbench-smoke mcheck-smoke mcheck-deep litmus-smoke litmus-deep \
+        psan-smoke lint lint-strict fmt ci clean
 
 # Every generated CSV (bench smoke/full panels, psan counters, mlint
 # counters) lands under this one directory — override with
@@ -23,7 +23,8 @@ fmt:
 # budget-enforcing bench smoke, crash-point model checking, the
 # persistency sanitizer, and formatting.  Green here means the required
 # GitHub checks will be green (the workflow jobs run these same targets).
-ci: build test lint bench-smoke mcheck-smoke litmus-smoke psan-smoke fmt
+ci: build test lint bench-smoke perfbench-smoke mcheck-smoke litmus-smoke \
+    psan-smoke fmt
 	@echo "ci: all gates green"
 
 # Nightly soak: the crash-torture tier over real domains, 30 times, so
@@ -63,6 +64,18 @@ bench-smoke:
 	@mkdir -p $(ARTIFACTS)
 	dune exec bench/main.exe -- --smoke --no-micro --no-ablation \
 	  --csv $(ARTIFACTS)/bench_smoke.csv --budget bench/budgets.csv
+
+# The KV benchmark's correctness check, CI-sized: one untraced repetition
+# each of kv-read and kv-update at seed 1.  bench.exe exits 1 when an op
+# result disagrees with the sequential oracle or the contents after a
+# crash and recovery differ from the acknowledged set.  Its timings are
+# informational; perfbench/run.py is the benchmark proper.
+PERFBENCH = ./_build/default/perfbench/bench.exe
+
+perfbench-smoke:
+	dune build ./perfbench/bench.exe
+	$(PERFBENCH) --workload kv-read --seed 1 --trace 0
+	$(PERFBENCH) --workload kv-update --seed 1 --trace 0
 
 bench-full:
 	@mkdir -p $(ARTIFACTS)

@@ -52,18 +52,45 @@ let register t =
   h
 
 (* Per-(domain, Ebr.t) handle, resolved through domain-local storage so data
-   structure operations need no explicit thread context. *)
-let dls_key : (int * handle) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+   structure operations need no explicit thread context.  The last table
+   this domain touched is cached in place, so [enter]/[exit] on the same
+   table allocate nothing; a miss falls back to the domain's association
+   list (a handful of tables per domain). *)
+type handle_cache = {
+  mutable c_id : int;  (** table id of [c_handle]; [-1] when empty *)
+  mutable c_handle : handle;
+  mutable c_tbl : (int * handle) list;  (** every table this domain touched *)
+}
+
+let no_handle =
+  {
+    announced = Atomic.make 0;
+    active = Atomic.make false;
+    limbo = [];
+    retired_count = 0;
+    ops_since_scan = 0;
+  }
+
+let dls_key : handle_cache Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { c_id = -1; c_handle = no_handle; c_tbl = [] })
 
 let handle t =
-  let table = Domain.DLS.get dls_key in
-  match List.assq_opt t.id !table with
-  | Some h -> h
-  | None ->
-      let h = register t in
-      table := (t.id, h) :: !table;
-      h
+  let c = Domain.DLS.get dls_key in
+  if c.c_id = t.id then c.c_handle
+  else begin
+    let h =
+      match List.assq_opt t.id c.c_tbl with
+      | Some h -> h
+      | None ->
+          let h = register t in
+          c.c_tbl <- (t.id, h) :: c.c_tbl;
+          h
+    in
+    c.c_id <- t.id;
+    c.c_handle <- h;
+    h
+  end
 
 (** The global epoch can advance only when every active thread has announced
     the current epoch. *)

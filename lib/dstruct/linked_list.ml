@@ -2,19 +2,27 @@
     structure the paper evaluates (§6.2.1–6.2.3) and the building block of
     its hash table.
 
-    The mark bit of the original (stolen from the pointer's low bit) is a
-    boxed [link] record here; CAS compares link boxes by physical identity,
-    which is exactly a word CAS on the pointer — each write creates a fresh
-    box, so there is no ABA.
+    A node is a [Node] block holding its key, value and [next] field
+    inline; the list ends at [Nil], an immediate.  A step of a walk reads
+    the link record in [next] and then the node it targets directly: no
+    option box sits between them.  The mark bit of the original (stolen
+    from the pointer's low bit) is the [marked] field of that boxed [link]
+    record.  CAS compares link records by physical identity, which is
+    exactly a word CAS on the pointer.  Every write installs a freshly
+    allocated link record, so a field never holds the same record twice
+    and there is no ABA; nothing compares [target]s physically.
+
+    The walks ([find], [lookup]) are top-level functions taking every
+    input as an argument, so a lookup allocates nothing.
 
     The list is a functor over {!Mirror_prim.Prim.S}: the same code yields
     the original volatile list, the Izraelevitz and NVTraverse
     transformations, and the Mirror list, depending on the primitive. *)
 
 module Make (P : Mirror_prim.Prim.S) = struct
-  type 'v node = { key : int; value : 'v; next : 'v link P.t }
+  type 'v node = Nil | Node of { key : int; value : 'v; next : 'v link P.t }
 
-  and 'v link = { target : 'v node option; marked : bool }
+  and 'v link = { target : 'v node; marked : bool }
   (** [marked = true] in [n.next] means [n] is logically deleted. *)
 
   type 'v head = 'v link P.t
@@ -27,7 +35,7 @@ module Make (P : Mirror_prim.Prim.S) = struct
     ebr : Mirror_core.Ebr.t;
   }
 
-  let make_head () : 'v head = P.make { target = None; marked = false }
+  let make_head () : 'v head = P.make { target = Nil; marked = false }
 
   let create ?ebr () =
     let ebr =
@@ -37,94 +45,83 @@ module Make (P : Mirror_prim.Prim.S) = struct
 
   (* -- traversal ---------------------------------------------------------- *)
 
-  (* [find ebr head k] returns [(pred_field, pred_link, curr_opt)] where
-     [curr_opt] is the first unmarked node with key >= k, [pred_field] the
-     link field of its unmarked predecessor (or the head) and [pred_link]
-     the exact link box read there (the CAS witness).  Marked nodes
-     encountered on the way are physically unlinked. *)
-  let rec find ebr head k =
-    let rec walk (pred_field : 'v link P.t) (pred_link : 'v link) =
-      match pred_link.target with
-      | None -> (pred_field, pred_link, None)
-      | Some curr ->
-          let curr_link = P.load_t curr.next in
-          if curr_link.marked then begin
-            (* curr is logically deleted: unlink it *)
-            let repl = { target = curr_link.target; marked = false } in
-            if P.cas pred_field ~expected:pred_link ~desired:repl then begin
-              Mirror_core.Ebr.retire ebr (fun () -> ());
-              walk pred_field repl
-            end
-            else find ebr head k (* pred changed under us: restart *)
+  (* [find ebr head k] returns [(pred_field, pred_link)] where
+     [pred_link.target] is the first unmarked node with key >= k (or
+     [Nil]), [pred_field] the link field of its unmarked predecessor (or
+     the head) and [pred_link] the exact link box read there (the CAS
+     witness).  Marked nodes encountered on the way are physically
+     unlinked. *)
+  let rec find ebr head k = find_from ebr head k head (P.load_t head)
+
+  and find_from ebr head k (pred_field : 'v link P.t) (pred_link : 'v link) =
+    match pred_link.target with
+    | Nil -> (pred_field, pred_link)
+    | Node curr ->
+        let curr_link = P.load_t curr.next in
+        if curr_link.marked then begin
+          (* curr is logically deleted: unlink it *)
+          let repl = { target = curr_link.target; marked = false } in
+          if P.cas pred_field ~expected:pred_link ~desired:repl then begin
+            Mirror_core.Ebr.retire ebr (fun () -> ());
+            find_from ebr head k pred_field repl
           end
-          else if curr.key >= k then (pred_field, pred_link, Some curr)
-          else walk curr.next curr_link
-    in
-    walk head (P.load_t head)
+          else find ebr head k (* pred changed under us: restart *)
+        end
+        else if curr.key >= k then (pred_field, pred_link)
+        else find_from ebr head k curr.next curr_link
+
+  (* [lookup k field l] is the wait-free walk of [contains] and [find_opt]:
+     it skips marked nodes without unlinking and returns the unmarked node
+     with key [k], or [Nil].  [field] is where the current link [l] was
+     read: when the walk decides "absent", that link is the deciding
+     observation, and it must be persisted before the result is exposed
+     (strategies whose [load] flushes) — a completed negative answer may
+     depend on an unlinking CAS another thread has not persisted yet, and
+     a crash would undo it. *)
+  let rec lookup k (field : 'v link P.t) (l : 'v link) =
+    match l.target with
+    | Nil ->
+        ignore (P.load field);
+        Nil
+    | Node curr as n ->
+        if curr.key < k then lookup k curr.next (P.load_t curr.next)
+        else begin
+          ignore (P.load field);
+          if curr.key > k then Nil
+          else
+            (* destination reads: the link into [curr] (reachability) and
+               [curr]'s own mark decide the result, persisted by the
+               strategies that must *)
+            let cl = P.load curr.next in
+            if cl.marked then Nil else n
+        end
 
   (* -- operations --------------------------------------------------------- *)
 
   let contains_at ebr head k =
     Mirror_core.Ebr.enter ebr;
-    (* wait-free traversal: skip marked nodes without unlinking.  [field] is
-       where the current link [l] was read: when the walk decides "absent",
-       that link is the deciding observation, and it must be persisted
-       before the result is exposed (strategies whose [load] flushes) — a
-       completed negative answer may depend on an unlinking CAS another
-       thread has not persisted yet, and a crash would undo it. *)
-    let rec walk (field : 'v link P.t) (l : 'v link) =
-      match l.target with
-      | None ->
-          ignore (P.load field);
-          false
-      | Some curr ->
-          if curr.key < k then walk curr.next (P.load_t curr.next)
-          else if curr.key > k then begin
-            ignore (P.load field);
-            false
-          end
-          else begin
-            (* destination reads: the link into [curr] (reachability) and
-               [curr]'s own mark decide the result, persisted by the
-               strategies that must *)
-            ignore (P.load field);
-            let cl = P.load curr.next in
-            not cl.marked
-          end
+    let r =
+      match lookup k head (P.load_t head) with Nil -> false | Node _ -> true
     in
-    let r = walk head (P.load_t head) in
     Mirror_core.Ebr.exit ebr;
     r
 
   let find_opt_at ebr head k =
     Mirror_core.Ebr.enter ebr;
-    let rec walk (field : 'v link P.t) (l : 'v link) =
-      match l.target with
-      | None ->
-          ignore (P.load field);
-          None
-      | Some curr ->
-          if curr.key < k then walk curr.next (P.load_t curr.next)
-          else if curr.key > k then begin
-            ignore (P.load field);
-            None
-          end
-          else begin
-            ignore (P.load field);
-            let cl = P.load curr.next in
-            if cl.marked then None else Some curr.value
-          end
+    let r =
+      match lookup k head (P.load_t head) with
+      | Nil -> None
+      | Node n -> Some n.value
     in
-    let r = walk head (P.load_t head) in
     Mirror_core.Ebr.exit ebr;
     r
 
   let insert_at ebr head k v =
     Mirror_core.Ebr.enter ebr;
     let rec attempt () =
-      let pred_field, pred_link, curr = find ebr head k in
-      match curr with
-      | Some c when c.key = k ->
+      let pred_field, pred_link = find ebr head k in
+      match pred_link.target with
+      | Node c when c.key = k ->
           (* key present: the deciding reads are the link into [c] (its
              reachability may rest on an insert another thread has not
              persisted yet) and [c]'s own mark *)
@@ -137,18 +134,21 @@ module Make (P : Mirror_prim.Prim.S) = struct
              line: the insert's allocation write-back and the CE's flush of
              [pred_field] then coalesce into one line flush *)
           let node =
-            {
-              key = k;
-              value = v;
-              next = P.make_near pred_field { target = curr; marked = false };
-            }
+            Node
+              {
+                key = k;
+                value = v;
+                next =
+                  P.make_near pred_field
+                    { target = pred_link.target; marked = false };
+              }
           in
           (* destination write: persist the surrounding field first
              (NVTraverse's flush-the-destination; no-op elsewhere) *)
           P.persist pred_field;
           if
             P.cas pred_field ~expected:pred_link
-              ~desired:{ target = Some node; marked = false }
+              ~desired:{ target = node; marked = false }
           then true
           else attempt ()
     in
@@ -159,19 +159,19 @@ module Make (P : Mirror_prim.Prim.S) = struct
   let remove_at ebr head k =
     Mirror_core.Ebr.enter ebr;
     let rec attempt () =
-      let pred_field, pred_link, curr = find ebr head k in
-      match curr with
-      | None ->
+      let pred_field, pred_link = find ebr head k in
+      match pred_link.target with
+      | Nil ->
           (* absent: the deciding observation is [pred_field]'s link jumping
              over [k]; persist it before returning (another thread's unlink
              of the victim may still be volatile — found by the crash-point
              model checker as a resurrected completed remove=false) *)
           ignore (P.load pred_field);
           false
-      | Some c when c.key <> k ->
+      | Node c when c.key <> k ->
           ignore (P.load pred_field);
           false
-      | Some c ->
+      | Node c ->
           let c_link = P.load c.next in
           if c_link.marked then
             (* someone else is deleting it; restart to settle the race *)
@@ -208,8 +208,8 @@ module Make (P : Mirror_prim.Prim.S) = struct
   let to_list_at head =
     let rec go acc (l : 'v link) =
       match l.target with
-      | None -> List.rev acc
-      | Some n ->
+      | Nil -> List.rev acc
+      | Node n ->
           let nl = P.load_t n.next in
           let acc = if nl.marked then acc else (n.key, n.value) :: acc in
           go acc nl
@@ -225,8 +225,8 @@ module Make (P : Mirror_prim.Prim.S) = struct
   let fold f init t =
     let rec go acc (l : 'v link) =
       match l.target with
-      | None -> acc
-      | Some n ->
+      | Nil -> acc
+      | Node n ->
           let nl = P.load_t n.next in
           let acc = if nl.marked then acc else f acc n.key n.value in
           go acc nl
@@ -239,8 +239,8 @@ module Make (P : Mirror_prim.Prim.S) = struct
   let range t ~lo ~hi =
     let rec go acc (l : 'v link) =
       match l.target with
-      | None -> List.rev acc
-      | Some n ->
+      | Nil -> List.rev acc
+      | Node n ->
           if n.key >= hi then List.rev acc
           else
             let nl = P.load_t n.next in
@@ -258,10 +258,10 @@ module Make (P : Mirror_prim.Prim.S) = struct
     P.recover head;
     let rec go (l : 'v link) =
       match l.target with
-      | Some m ->
+      | Node m ->
           P.recover m.next;
           go (P.load_recovery m.next)
-      | None -> ()
+      | Nil -> ()
     in
     go (P.load_recovery head)
 

@@ -12,6 +12,11 @@ let prim region name = Mirror_prim.Prim.by_name region name
 let all_prim_names = Mirror_prim.Prim.all_names
 let all_ds = Sets.all_ds
 
+(** Heap words [x] owns beyond the region [r].  [r] must be untracked, so
+    it holds no closure back to [x] and the subtraction is exact. *)
+let own_words x r =
+  Obj.reachable_words (Obj.repr x) - Obj.reachable_words (Obj.repr r)
+
 (* -- sequential battery ----------------------------------------------------- *)
 
 let check b msg = Alcotest.(check bool) msg true b

@@ -76,6 +76,80 @@ let test_drain () =
   check (!n = 10) "drain frees everything";
   check (Ebr.limbo_size e = 0) "limbo empty"
 
+(* The per-domain handle cache: two tables alternated (and nested) on one
+   domain, then touched from a second domain.  Each retire must land in its
+   own table's limbo.  The high threshold keeps [enter] from scanning, so
+   the limbo counts are exact. *)
+let test_two_tables_limbo () =
+  let a = Ebr.create ~scan_threshold:1_000 () in
+  let b = Ebr.create ~scan_threshold:1_000 () in
+  for i = 1 to 10 do
+    Ebr.enter a;
+    Ebr.retire a ignore;
+    Ebr.enter b;
+    Ebr.retire b ignore;
+    Ebr.retire b ignore;
+    Ebr.exit b;
+    Ebr.exit a;
+    check
+      (Ebr.limbo_size a = i && Ebr.limbo_size b = 2 * i)
+      (Printf.sprintf "round %d: limbo a=%d b=%d" i (Ebr.limbo_size a)
+         (Ebr.limbo_size b))
+  done;
+  let d =
+    Domain.spawn (fun () ->
+        Ebr.enter b;
+        Ebr.retire b ignore;
+        Ebr.exit b;
+        Ebr.enter a;
+        Ebr.retire a ignore;
+        Ebr.retire a ignore;
+        Ebr.exit a;
+        Ebr.retire b ignore)
+  in
+  Domain.join d;
+  check (Ebr.limbo_size a = 12) "second domain: a's retires in a";
+  check (Ebr.limbo_size b = 22) "second domain: b's retires in b"
+
+(* A domain pinned in table [a] (which touched [b] while pinned, so its
+   cache moved away from [a]'s handle) blocks [a]'s epoch and not [b]'s. *)
+let test_pin_is_per_table () =
+  let a = Ebr.create ~scan_threshold:1_000 () in
+  let b = Ebr.create ~scan_threshold:1_000 () in
+  let pinned = Atomic.make false in
+  let release = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        Ebr.enter a;
+        Ebr.enter b;
+        Ebr.exit b;
+        Atomic.set pinned true;
+        while not (Atomic.get release) do
+          Domain.cpu_relax ()
+        done;
+        Ebr.exit a)
+  in
+  while not (Atomic.get pinned) do
+    Domain.cpu_relax ()
+  done;
+  let a0 = Ebr.epoch a and b0 = Ebr.epoch b in
+  for _ = 1 to 5 do
+    Ebr.enter a;
+    Ebr.exit a;
+    Ebr.try_advance a;
+    Ebr.enter b;
+    Ebr.exit b;
+    Ebr.try_advance b
+  done;
+  check (Ebr.epoch a <= a0 + 1) "a pin in a caps a's epoch";
+  check (Ebr.epoch b = b0 + 5) "b's epoch advances past a pin in a";
+  Atomic.set release true;
+  Domain.join d;
+  for _ = 1 to 3 do
+    Ebr.try_advance a
+  done;
+  check (Ebr.epoch a > a0 + 1) "a advances once the pin is gone"
+
 let suite =
   [
     ( "ebr",
@@ -87,5 +161,9 @@ let suite =
         Alcotest.test_case "pinned thread blocks" `Quick
           test_active_thread_blocks_advance;
         Alcotest.test_case "drain" `Quick test_drain;
+        Alcotest.test_case "two tables: own limbo" `Quick
+          test_two_tables_limbo;
+        Alcotest.test_case "two tables: pin is per table" `Quick
+          test_pin_is_per_table;
       ] );
   ]

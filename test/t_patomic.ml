@@ -359,18 +359,13 @@ let prop_crash_recover_idempotent =
 
 (* -- layout and field-0 atomicity ------------------------------------------ *)
 
-(* Heap words a value owns beyond its region.  The region is untracked, so
-   it holds no closure back to the value and the subtraction is exact. *)
-let own_words x r =
-  Obj.reachable_words (Obj.repr x) - Obj.reachable_words (Obj.repr r)
-
 let test_layout () =
   let r = Support.fresh_region ~track:false () in
   let v = Patomic.make r 0 in
-  let w = own_words v r in
+  let w = Support.own_words v r in
   check (w <= 36) (Printf.sprintf "strict variable: %d words, at most 36" w);
   let s = Mirror_nvm.Slot.make ~persist:true r 0 in
-  let w = own_words s r in
+  let w = Support.own_words s r in
   check (w <= 20) (Printf.sprintf "slot: %d words, at most 20" w)
 
 (* Two real domains race on the in-record atomic fields: [repv] through

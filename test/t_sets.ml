@@ -124,6 +124,65 @@ let test_transform_cost_ordering () =
   check (fl_mi = 0 && fe_mi = 0) "Mirror persists nothing on reads";
   check (nr_mi = 0) "Mirror reads never touch NVMM"
 
+(* -- Mirror lookups allocate nothing per call; a key costs 43 words ------- *)
+
+(* Minor words per [contains] and per [find_opt] on a table with every even
+   key of [0, range) present, measured after a warm-up pass (which
+   registers the domain's reclamation handle).  [find_opt]'s own result,
+   a [Some] box of 2 words on each hit, is the caller's and is not
+   counted.  What remains is the periodic epoch scan, amortized. *)
+let test_lookup_alloc ds () =
+  let range = 256 and rounds = 20 in
+  let region = Support.fresh_region ~track:false () in
+  let (module S) = Sets.make ds (Support.prim region "mirror") in
+  let t = S.create ~capacity:range () in
+  for k = 0 to (range / 2) - 1 do
+    ignore (S.insert t (2 * k) k)
+  done;
+  let per_call pass =
+    ignore (pass ());
+    let w0 = Gc.minor_words () in
+    let boxes = ref 0 in
+    for _ = 1 to rounds do
+      boxes := !boxes + pass ()
+    done;
+    (Gc.minor_words () -. w0 -. float_of_int (2 * !boxes))
+    /. float_of_int (rounds * range)
+  in
+  let contains () =
+    for k = 0 to range - 1 do
+      ignore (S.contains t k)
+    done;
+    0
+  in
+  let find_opt () =
+    let hits = ref 0 in
+    for k = 0 to range - 1 do
+      if S.find_opt t k <> None then incr hits
+    done;
+    !hits
+  in
+  let w = per_call contains in
+  check (w < 1.0) (Printf.sprintf "contains: %.2f words per call, under 1" w);
+  let w = per_call find_opt in
+  check (w < 1.0) (Printf.sprintf "find_opt: %.2f words per call, under 1" w)
+
+(* Heap words one Mirror hash-table insert adds: the node, its link record
+   and its [next] variable.  The first insert registers the domain's
+   reclamation handle and is left out. *)
+let test_hash_key_words () =
+  let n = 1024 in
+  let region = Support.fresh_region ~track:false () in
+  let (module S) = Sets.make Sets.Hash_ds (Support.prim region "mirror") in
+  let t = S.create ~capacity:n () in
+  ignore (S.insert t 0 0);
+  let w0 = Support.own_words t region in
+  for k = 1 to n do
+    ignore (S.insert t k k)
+  done;
+  let w = float_of_int (Support.own_words t region - w0) /. float_of_int n in
+  check (w <= 43.0) (Printf.sprintf "%.2f words per key, at most 43" w)
+
 let suite =
   [
     ("sets", battery_cases);
@@ -135,4 +194,13 @@ let suite =
           Alcotest.test_case "transform cost ordering" `Quick
             test_transform_cost_ordering;
         ] );
+    ( "sets-alloc",
+      [
+        Alcotest.test_case "hash lookups: under 1 word per call" `Quick
+          (test_lookup_alloc Sets.Hash_ds);
+        Alcotest.test_case "list lookups: under 1 word per call" `Quick
+          (test_lookup_alloc Sets.List_ds);
+        Alcotest.test_case "hash insert: words per key" `Quick
+          test_hash_key_words;
+      ] );
   ]
