@@ -66,9 +66,11 @@ bench-smoke:
 	  --csv $(ARTIFACTS)/bench_smoke.csv --budget bench/budgets.csv
 
 # The KV benchmark's correctness check, CI-sized: one untraced repetition
-# each of kv-read and kv-update at seed 1.  bench.exe exits 1 when an op
-# result disagrees with the sequential oracle or the contents after a
-# crash and recovery differ from the acknowledged set.  Its timings are
+# each of kv-read, kv-update, kv-buffered and recover at seed 1 — the last
+# two are the only end-to-end runs of the buffered epoch path and of a
+# crash reset over tracked slots.  bench.exe exits 1 when an op result
+# disagrees with the sequential oracle or the contents after a crash and
+# recovery differ from the acknowledged set.  Its timings are
 # informational; perfbench/run.py is the benchmark proper.
 PERFBENCH = ./_build/default/perfbench/bench.exe
 
@@ -76,6 +78,8 @@ perfbench-smoke:
 	dune build ./perfbench/bench.exe
 	$(PERFBENCH) --workload kv-read --seed 1 --trace 0
 	$(PERFBENCH) --workload kv-update --seed 1 --trace 0
+	$(PERFBENCH) --workload kv-buffered --seed 1 --trace 0
+	$(PERFBENCH) --workload recover --seed 1 --trace 0
 
 bench-full:
 	@mkdir -p $(ARTIFACTS)

@@ -6,12 +6,16 @@
       NVMM — the only replica that is ever flushed;
     - [repv], the volatile replica — the only replica that is ever read.
 
-    Each replica holds a {!cell}: the value together with a monotonically
+    Each replica holds a cell: the value together with a monotonically
     increasing sequence number, updated atomically by a double-word CAS.
-    In this port DWCAS is an atomic word over an immutable boxed pair with a
-    content-comparing retry loop — the same atomicity as the hardware
-    instruction (both words change together; a failed CAS reports the
-    witnessed value).  The atomic word is field 0 of the variable's own
+    The cell is the persistent replica's {!Mirror_nvm.Slot.entry}: its
+    [ver] is the sequence number, and one immutable block per write is
+    shared by [repp]'s current and persisted state and by [repv].  In this
+    port DWCAS is an atomic word over that block — the same atomicity as
+    the hardware instruction (both words change together; a failed CAS
+    reports the witnessed value).  Between two crashes a slot's version
+    names exactly one entry, so comparing (value, seq) is comparing the
+    blocks physically.  The atomic word is field 0 of the variable's own
     record ({!repv_atomic}), so a read is one dependent load fewer than
     through a separate [Atomic.t] box.
 
@@ -25,8 +29,6 @@
       durable. *)
 
 open Mirror_nvm
-
-type 'a cell = { v : 'a; seq : int }
 
 type placement =
   | Dram  (** volatile replica in DRAM: fast reads (the §6.2 configuration) *)
@@ -44,11 +46,11 @@ type discipline =
           buffered durable linearizability (bounded staleness). *)
 
 type 'a t = {
-  mutable repv : 'a cell;
+  mutable repv : 'a Slot.entry;
       (** the volatile replica.  Must stay field 0 and must only be
           accessed through {!repv_atomic}. *)
   uid : int;  (** pair identity carried on access events *)
-  repp : 'a cell Slot.t;
+  repp : 'a Slot.t;
   placement : placement;
   discipline : discipline;
   mutable valid : bool;
@@ -60,7 +62,7 @@ type 'a t = {
 (* OCaml 5.1's [Atomic] primitives act on field 0 of the block they are
    given, so viewing the record as an [Atomic.t] makes [repv] an atomic
    field in place — the 5.1 spelling of a 5.4 [[@atomic]] record field. *)
-external repv_atomic : 'a t -> 'a cell Atomic.t = "%identity"
+external repv_atomic : 'a t -> 'a Slot.entry Atomic.t = "%identity"
 [@@mlint.allow L7 "repv is field 0 of a mutable record"]
 
 let next_uid = Atomic.make 0
@@ -85,18 +87,8 @@ let announce_repv t op ~seq =
       a_protocol = Hooks.in_protocol ();
     }
 
-(* Double-word CAS on the volatile replica: compare value (physical equality,
-   as a hardware word compare) and sequence number, install atomically. *)
-let rec dwcas_v t ~(expected : 'a cell) ~(desired : 'a cell) =
-  let cur = Atomic.get (repv_atomic t) in
-  if cur.v == expected.v && cur.seq = expected.seq then
-    Atomic.compare_and_set (repv_atomic t) cur desired
-    || dwcas_v t ~expected ~desired
-  else false
-
 let make ?(placement = Dram) ?(discipline = Strict) ?(persist = true) ?line
     region v =
-  let c = { v; seq = 0 } in
   let uid = Atomic.fetch_and_add next_uid 1 in
   (* cache-line placement (line granularity, docs/MODEL.md): strict repp
      slots are carved from a line — the caller's ([make_near]'s) if given,
@@ -116,12 +108,18 @@ let make ?(placement = Dram) ?(discipline = Strict) ?(persist = true) ?line
   let repp =
     Slot.make ~persist ~charge_copy:persist ~pair:uid
       ~buffered:(discipline = Buffered)
-      ?line
-      ~seq_of:(fun c -> c.seq)
-      region c
+      ?line region v
   in
   let t =
-    { repv = c; uid; repp; placement; discipline; valid = true; region }
+    {
+      repv = Slot.peek_entry repp;
+      uid;
+      repp;
+      placement;
+      discipline;
+      valid = true;
+      region;
+    }
   in
   Region.register_volatile region (fun () -> t.valid <- false);
   t
@@ -144,7 +142,7 @@ let read_repv t =
       s.Stats.nvm_read <- s.Stats.nvm_read + 1;
       Latency.nvm_read ());
   let c = Atomic.get (repv_atomic t) in
-  if !Hooks.access_on then announce_repv t Hooks.A_load_repv ~seq:c.seq;
+  if !Hooks.access_on then announce_repv t Hooks.A_load_repv ~seq:c.ver;
   c
 
 let write_repv t ~expected ~desired =
@@ -155,9 +153,10 @@ let write_repv t ~expected ~desired =
   | Nvmm ->
       s.Stats.nvm_cas <- s.Stats.nvm_cas + 1;
       Latency.nvm_write ());
-  let ok = dwcas_v t ~expected ~desired in
+  (* double-word CAS on the volatile replica: the blocks are the cells *)
+  let ok = Atomic.compare_and_set (repv_atomic t) expected desired in
   if ok && !Hooks.access_on then
-    announce_repv t Hooks.A_write_repv ~seq:desired.seq;
+    announce_repv t Hooks.A_write_repv ~seq:desired.ver;
   ok
 
 (** Figure 5: a load is a single wait-free read of the volatile replica. *)
@@ -185,54 +184,51 @@ let persist_repp t =
       Region.fence t.region
   | Buffered -> Slot.persist_deferred t.repp
 
-(** Figure 4: [compare_exchange t ~expected ~desired] returns
-    [(success, witness)] where [witness] is the value found when the
-    operation failed ([expected] itself on success). *)
-let rec compare_exchange_body t ~(expected : 'a) ~(desired : 'a) : bool * 'a =
+(** Figure 4, returning only the witness: the value found in memory —
+    [expected] itself exactly when the exchange succeeded (every failure
+    path returns a value that is not [expected]), so the verdict needs no
+    tuple. *)
+let rec witness_body t ~(expected : 'a) ~(desired : 'a) : 'a =
   check t;
   let s = Stats.get () in
   (* read repp then repv (lines 5–16; the seq/val/seq re-read of the paper is
      subsumed by the atomic cell read) *)
   Hooks.yield ();
-  let pc = Slot.load t.repp in
+  let pc = Slot.load_entry t.repp in
   let vc = read_repv t in
-  if pc.seq = vc.seq + 1 then begin
+  if pc.ver = vc.ver + 1 then begin
     (* lines 19–26: help an ongoing write: persist repp, then mirror it *)
     s.Stats.help <- s.Stats.help + 1;
     persist_repp t;
     ignore (write_repv t ~expected:vc ~desired:pc);
     s.Stats.cas_retry <- s.Stats.cas_retry + 1;
-    compare_exchange_body t ~expected ~desired
+    witness_body t ~expected ~desired
   end
-  else if pc.seq <> vc.seq then begin
+  else if pc.ver <> vc.ver then begin
     (* inconsistent snapshot; retry (line 29) *)
     s.Stats.cas_retry <- s.Stats.cas_retry + 1;
-    compare_exchange_body t ~expected ~desired
+    witness_body t ~expected ~desired
   end
-  else if not (pc.v == expected) then (false, pc.v) (* lines 32–35 *)
+  else if not (pc.v == expected) then pc.v (* lines 32–35 *)
   else begin
     (* lines 38–49: update repp first, persist, then mirror into repv *)
-    let after = { v = desired; seq = pc.seq + 1 } in
-    let ok, wit =
-      Slot.cas_pred t.repp
-        ~expect:(fun c -> c.v == pc.v && c.seq = pc.seq)
-        ~desired:after
-    in
+    let after = Slot.next_entry pc desired in
+    let wit = Slot.cas_entry t.repp ~expected:pc ~desired:after in
     persist_repp t;
-    if ok then begin
+    if wit == pc then begin
       ignore (write_repv t ~expected:vc ~desired:after);
-      (true, expected)
+      expected
     end
     else if wit.v == expected then begin
       (* seq changed but the value is still the expected one: a regular CAS
          must succeed, so restart (line 46) *)
       s.Stats.cas_retry <- s.Stats.cas_retry + 1;
-      compare_exchange_body t ~expected ~desired
+      witness_body t ~expected ~desired
     end
     else begin
       (* help the winner become visible, then fail (line 47) *)
       ignore (write_repv t ~expected:vc ~desired:wit);
-      (false, wit.v)
+      wit.v
     end
   end
 
@@ -240,31 +236,38 @@ let rec compare_exchange_body t ~(expected : 'a) ~(desired : 'a) : bool * 'a =
    section" so its internal persistent-replica reads are sanctioned (psan's
    V1 check flags [Slot] reads only *outside* such sections).  Exception-safe:
    the scheduler may kill a fiber mid-operation via [discontinue]. *)
-let compare_exchange t ~(expected : 'a) ~(desired : 'a) : bool * 'a =
+let witness t ~(expected : 'a) ~(desired : 'a) : 'a =
   if !Hooks.access_on then begin
     Hooks.protocol_enter ();
     Fun.protect ~finally:Hooks.protocol_exit (fun () ->
-        compare_exchange_body t ~expected ~desired)
+        witness_body t ~expected ~desired)
   end
-  else compare_exchange_body t ~expected ~desired
+  else witness_body t ~expected ~desired
 
-let cas t ~expected ~desired = fst (compare_exchange t ~expected ~desired)
+(** Figure 4: [compare_exchange t ~expected ~desired] returns
+    [(success, witness)] where [witness] is the value found when the
+    operation failed ([expected] itself on success). *)
+let compare_exchange t ~expected ~desired =
+  let w = witness t ~expected ~desired in
+  (w == expected, w)
+
+let cas t ~expected ~desired = witness t ~expected ~desired == expected
 
 (** [store] and [fetch_add] loop over CAS until success (paper §4.1.2).
-    Retries are driven by [compare_exchange]'s witness value — the value
-    found in memory by the failed attempt — instead of a fresh charged
-    [read_repv] per iteration. *)
+    Retries are driven by the witness value — the value found in memory by
+    the failed attempt — instead of a fresh charged [read_repv] per
+    iteration. *)
 let store t v =
   let rec go expected =
-    let ok, wit = compare_exchange t ~expected ~desired:v in
-    if not ok then go wit
+    let w = witness t ~expected ~desired:v in
+    if w != expected then go w
   in
   go (read_repv t).v
 
 let fetch_add (t : int t) (d : int) : int =
   let rec go expected =
-    let ok, wit = compare_exchange t ~expected ~desired:(expected + d) in
-    if ok then expected else go wit
+    let w = witness t ~expected ~desired:(expected + d) in
+    if w == expected then expected else go w
   in
   go (read_repv t).v
 
@@ -280,8 +283,7 @@ let recover t =
   Hooks.recovery_point Hooks.R_trace;
   if Slot.is_lost t.repp then
     invalid_arg "Patomic.recover: persistent replica was never persisted";
-  let pc = Slot.peek t.repp in
-  Atomic.set (repv_atomic t) pc;
+  Atomic.set (repv_atomic t) (Slot.peek_entry t.repp);
   t.valid <- true
 
 (** Read from the persistent space during recovery (the region is down, the
@@ -289,18 +291,21 @@ let recover t =
 let load_recovery t =
   if Slot.is_lost t.repp then
     invalid_arg "Patomic.load_recovery: unrecoverable slot";
-  (Slot.peek t.repp).v
+  Slot.peek t.repp
 
 (* -- introspection (tests, invariant checking) --------------------------- *)
 
 let discipline t = t.discipline
 let line t = Slot.line t.repp
-let seq_v t = (Atomic.get (repv_atomic t)).seq
-let seq_p t = (Slot.peek t.repp).seq
-let persisted_seq t = Option.map (fun c -> c.seq) (Slot.persisted_value t.repp)
-let persisted_value t = Option.map (fun c -> c.v) (Slot.persisted_value t.repp)
+let seq_v t = (Atomic.get (repv_atomic t)).ver
+let seq_p t = (Slot.peek_entry t.repp).ver
+
+let persisted_seq t =
+  Option.map (fun (e : _ Slot.entry) -> e.ver) (Slot.persisted_entry t.repp)
+
+let persisted_value t = Slot.persisted_value t.repp
 let peek_v t = (Atomic.get (repv_atomic t)).v
-let peek_p t = (Slot.peek t.repp).v
+let peek_p t = Slot.peek t.repp
 
 (** The durability invariant, safe to sample concurrently: sequence numbers
     only grow, so reading [repv] first and the persisted seq after gives a

@@ -3,21 +3,56 @@
     A slot models one (double-)word of NVMM together with its cache line:
 
     - [current] is the coherent view every processor sees (cache + memory);
-    - [persisted] is what is guaranteed to survive a crash ([None] until the
+    - [media] is what is guaranteed to survive a crash (nothing until the
       first write-back reaches the media).
 
-    Internal version numbers keep write-backs monotone: on real hardware two
-    [clwb]s of the same line can never travel back in time, so a concurrent
-    flush of an older snapshot must not overwrite a newer persisted value.
+    Both hold {!entry} blocks: one immutable block per write carrying the
+    value, its version and its epoch tag.  A write-back persists the very
+    block the write installed, so a strict slot's current and persisted
+    state share one block, and a Mirror variable's volatile replica shares
+    it too (the entry {e is} the Mirror cell: [ver] is its sequence
+    number).
+
+    Versions keep write-backs monotone: on real hardware two [clwb]s of the
+    same line can never travel back in time, so a concurrent flush of an
+    older snapshot must not overwrite a newer persisted value.
 
     Slots charge NVMM access costs ({!Latency}) and events ({!Stats}), and
     call {!Hooks.yield} at each atomic step so the deterministic scheduler
     can interleave them. *)
 
-type 'a entry = { v : 'a; ver : int; ep : int }
+type 'a entry = { v : 'a; ver : int; mutable ep : int }
 (** [ep] is the epoch that produced the write: [0] for strict slots
     (immediately committable), the region's open epoch for buffered slots.
-    Crash recovery keeps only entries tagged [<= Region.durable_epoch]. *)
+    Crash recovery keeps only entries tagged [<= Region.durable_epoch].
+    [ep] is written only before the entry is published, by the install
+    step right beside its CAS. *)
+
+(* The media state.  Each constructor is a one-field mutable block, which
+   is exactly the layout of an [Atomic.t]: the field is read and CASed in
+   place through {!newest_atomic} / {!front_atomic}, so a strict slot
+   reaches its persisted entry in one hop, the same as through an
+   [Atomic.t] box.  The constructor doubles as the discipline flag. *)
+type 'a media =
+  | Newest of { mutable newest : 'a entry }
+      (** strict slot: the one persisted entry, or an entry with
+          [ver = -1] while nothing was ever persisted.  Strict entries all
+          carry [ep = 0], so the newest persisted entry dominates every
+          older one. *)
+  | Front of { mutable front : 'a entry list }
+      (** buffered slot: the media history, newest (max [ver]) first, kept
+          as the Pareto front over (version high, epoch low): an entry is
+          dropped once another entry has both [ver >=] and [ep <=] it, or
+          once a newer entry from a committed epoch
+          ([<= Region.durable_epoch]) exists.  The older durable entry
+          stays alive until the newer entry's epoch commits, so a crash
+          can roll back to the durable cut. *)
+
+external newest_atomic : 'a media -> 'a entry Atomic.t = "%identity"
+[@@mlint.allow L7 "applied to Newest blocks only: one mutable field"]
+
+external front_atomic : 'a media -> 'a entry list Atomic.t = "%identity"
+[@@mlint.allow L7 "applied to Front blocks only: one mutable field"]
 
 type 'a t = {
   mutable current : 'a entry;
@@ -30,27 +65,15 @@ type 'a t = {
       (** the cache line this slot was carved from ([None] on slot-granular
           regions and on buffered slots): line-mates share write-backs —
           a flush of a line already in flight coalesces — and crash fate *)
-  buffered : bool;
-      (** buffered discipline: writes tag the open epoch and persists are
-          recorded into the epoch's deferred set instead of flushing *)
   home : int;
       (** home domain of the slot's memory: its line's carver, or the
           allocating logical thread when lineless.  Accesses from other
           threads pay the NUMA remote-line surcharge when the
           {!Latency.numa_remote_ns} knob is on. *)
-  seq_of : ('a -> int) option;
-      (** value-seq extractor for access events: Mirror passes the cell's
-          sequence number so slot events and replica events share one
-          namespace; plain slots fall back to the internal line version *)
-  persisted : 'a entry list Atomic.t;
-      (** media history, newest (max [ver]) first, kept as the Pareto front
-          over (version high, epoch low): an entry is dropped once another
-          entry has both [ver >=] and [ep <=] it, or once a newer entry
-          from a committed epoch ([<= Region.durable_epoch]) exists.
-          Strict slots (all [ep = 0]) collapse to at most one entry — the
-          old single [persisted] word.  Buffered slots keep the older
-          durable entry alive until the newer entry's epoch commits, so a
-          crash can roll back to the durable cut. *)
+  media : 'a media;
+      (** the persisted state; [Front] marks a buffered slot: writes tag
+          the open epoch and persists are recorded into the epoch's
+          deferred set instead of flushing *)
   mutable lost : bool;
       (** set when a crash hits a slot that was never persisted: its
           post-crash content is garbage, and any access is a detected bug.
@@ -66,11 +89,15 @@ external current_atomic : 'a t -> 'a entry Atomic.t = "%identity"
 
 let next_uid = Atomic.make 0
 
-let entry_seq t (e : 'a entry) =
-  match t.seq_of with Some f -> f e.v | None -> e.ver
-
 (* The epoch tag for a fresh write on this slot. *)
-let write_epoch t = if t.buffered then Region.cur_epoch t.region else 0
+let write_epoch t =
+  match t.media with
+  | Front _ -> Region.cur_epoch t.region
+  | Newest _ -> 0
+
+(* The strict media's "nothing persisted yet" entry: a version below every
+   write's, so it covers nothing and leaves the slot dirty. *)
+let unpersisted v = { v; ver = -1; ep = 0 }
 
 (* Announce one structured access event (gated: call sites check
    [Hooks.access_on] first so the uninstrumented path pays one load). *)
@@ -92,10 +119,13 @@ let announce t op ~seq =
 (* The helpers below are top-level rather than local closures: they run on
    every write-back, and a closure would be allocated on each. *)
 
-(* Some entry of [l] has [ver >=] and [ep <=] those of [e]. *)
+(* [p] has [ver >=] and [ep <=] those of [e]. *)
+let dominates p e = p.ver >= e.ver && p.ep <= e.ep
+
+(* Some entry of [l] dominates [e]. *)
 let rec covers e = function
   | [] -> false
-  | p :: rest -> (p.ver >= e.ver && p.ep <= e.ep) || covers e rest
+  | p :: rest -> dominates p e || covers e rest
 
 (* [l] (newest first) with [e] inserted by version and the entries [e]
    dominates ([ver <=], [ep >=]) dropped: those are exactly the entries
@@ -123,30 +153,91 @@ let rec prune_committed de seen l =
         if rest' == rest then l else p :: rest'
 
 (* Write-backs stay monotone per (version, epoch): an offer is dropped when
-   the front already dominates it (an entry with [ver >=] and [ep <=]);
-   otherwise it joins the front and evicts the entries it dominates.  On
-   strict slots (all [ep = 0]) this is exactly the old max-version rule.
+   the media already dominates it (an entry with [ver >=] and [ep <=]).
 
-   Among entries from committed epochs ([ep <= durable_epoch]) only the
-   newest is kept: a crash restores nothing older, and every elision check
-   an older one answers ([ver >=] a snapshot from a younger, uncommitted
-   epoch) the newer one answers too.  So a buffered slot re-persisted in
-   every epoch keeps at most two entries.  A stale [durable_epoch] read
-   only prunes less: the durable cut never moves back. *)
-let rec persist_monotone t (e : 'a entry) =
-  let old = Atomic.get t.persisted in
+   A strict slot's media is one entry: all its entries carry [ep = 0], so
+   the offer replaces it exactly when its version is newer (the
+   max-version rule), with no allocation.
+
+   A buffered slot's offer joins the Pareto front and evicts the entries it
+   dominates.  Among entries from committed epochs ([ep <= durable_epoch])
+   only the newest is kept: a crash restores nothing older, and every
+   elision check an older one answers ([ver >=] a snapshot from a younger,
+   uncommitted epoch) the newer one answers too.  So a buffered slot
+   re-persisted in every epoch keeps at most two entries.  A stale
+   [durable_epoch] read only prunes less: the durable cut never moves
+   back. *)
+let rec persist_newest cell e =
+  let old = Atomic.get cell in
+  if not (dominates old e) then
+    if not (Atomic.compare_and_set cell old e) then persist_newest cell e
+
+let rec persist_front t cell e =
+  let old = Atomic.get cell in
   if not (covers e old) then
     let front =
       prune_committed (Region.durable_epoch t.region) false (insert_entry e old)
     in
-    if not (Atomic.compare_and_set t.persisted old front) then
-      persist_monotone t e
+    if not (Atomic.compare_and_set cell old front) then persist_front t cell e
 
-let newest_persisted t =
-  match Atomic.get t.persisted with [] -> None | p :: _ -> Some p
+let persist_monotone t e =
+  match t.media with
+  | Newest _ as m -> persist_newest (newest_atomic m) e
+  | Front _ as m -> persist_front t (front_atomic m) e
+
+(* The media dominates [e]: a write-back of [e] would be redundant. *)
+let media_covers t e =
+  match t.media with
+  | Newest _ as m -> dominates (Atomic.get (newest_atomic m)) e
+  | Front _ as m -> covers e (Atomic.get (front_atomic m))
+
+(** Test/recovery introspection: what would survive a crash right now
+    (assuming pending write-backs are lost). *)
+let persisted_entry t =
+  match t.media with
+  | Newest _ as m ->
+      let p = Atomic.get (newest_atomic m) in
+      if p.ver < 0 then None else Some p
+  | Front _ as m -> (
+      match Atomic.get (front_atomic m) with [] -> None | p :: _ -> Some p)
+
+(* Overwrite the media with exactly [e] (recovery only). *)
+let set_media t e =
+  match t.media with
+  | Newest _ as m -> Atomic.set (newest_atomic m) e
+  | Front _ as m -> Atomic.set (front_atomic m) [ e ]
+
+(* Crash reset of the media: keep the newest entry of the durable cut and
+   make it the coherent view, or mark the slot lost.  The durable cut:
+   entries from epochs the durable slot does not cover are discarded even
+   if they physically reached the media — they may be part of an
+   inconsistent (torn-epoch) state.  Strict entries ([ep = 0]) are always
+   inside the cut. *)
+let reset_media t =
+  match t.media with
+  | Newest _ as m ->
+      let p = Atomic.get (newest_atomic m) in
+      if p.ver < 0 then t.lost <- true
+      else Atomic.set (current_atomic t) p
+  | Front _ as m -> (
+      let cell = front_atomic m in
+      let de = Region.durable_epoch t.region in
+      let hist = Atomic.get cell in
+      let rolled_back = List.exists (fun p -> p.ep > de) hist in
+      match List.filter (fun p -> p.ep <= de) hist with
+      | [] ->
+          Atomic.set cell [];
+          t.lost <- true;
+          if rolled_back && !Hooks.access_on then
+            announce t Hooks.A_rollback ~seq:(-1)
+      | p :: _ ->
+          Atomic.set cell [ p ];
+          Atomic.set (current_atomic t) p;
+          if rolled_back && !Hooks.access_on then
+            announce t Hooks.A_rollback ~seq:p.ver)
 
 let make ?(persist = false) ?(charge_copy = false) ?(pair = -1)
-    ?(buffered = false) ?line ?seq_of region v =
+    ?(buffered = false) ?line region v =
   (* buffered slots persist through the epoch clock, never through line
      write-backs: they take no line *)
   let line = if buffered then None else line in
@@ -158,35 +249,19 @@ let make ?(persist = false) ?(charge_copy = false) ?(pair = -1)
       uid = Atomic.fetch_and_add next_uid 1;
       pair;
       line;
-      buffered;
       home =
         (match line with
         | Some l -> Region.line_home l
         | None -> Hooks.tid ());
-      seq_of;
-      persisted = Atomic.make (if persist then [ e ] else []);
+      media =
+        (if buffered then Front { front = (if persist then [ e ] else []) }
+         else Newest { newest = (if persist then e else unpersisted v) });
       lost = false;
     }
   in
   let reset ~persist_first =
     if persist_first then persist_monotone t (Atomic.get (current_atomic t));
-    (* the durable cut: entries from epochs the durable slot does not
-       cover are discarded even if they physically reached the media —
-       they may be part of an inconsistent (torn-epoch) state *)
-    let de = Region.durable_epoch region in
-    let hist = Atomic.get t.persisted in
-    let rolled_back = List.exists (fun p -> p.ep > de) hist in
-    match List.filter (fun p -> p.ep <= de) hist with
-    | [] ->
-        Atomic.set t.persisted [];
-        t.lost <- true;
-        if rolled_back && !Hooks.access_on then
-          announce t Hooks.A_rollback ~seq:(-1)
-    | p :: _ ->
-        Atomic.set t.persisted [ p ];
-        Atomic.set (current_atomic t) p;
-        if rolled_back && !Hooks.access_on then
-          announce t Hooks.A_rollback ~seq:(entry_seq t p)
+    reset_media t
   in
   (match line with
   | None -> Region.register_slot region reset
@@ -226,9 +301,9 @@ let make ?(persist = false) ?(charge_copy = false) ?(pair = -1)
       | None -> ()
     end
   end;
-  if !Hooks.access_on then announce t (Hooks.A_make persist) ~seq:(entry_seq t e);
+  if !Hooks.access_on then announce t (Hooks.A_make persist) ~seq:e.ver;
   if coalesced_birth && !Hooks.access_on then
-    announce t Hooks.A_flush_coalesced ~seq:(entry_seq t e);
+    announce t Hooks.A_flush_coalesced ~seq:e.ver;
   t
 
 let check t =
@@ -249,8 +324,8 @@ let charge_remote t =
     Latency.remote ()
   end
 
-(** Load from NVMM (paying the 3x-DRAM read cost). *)
-let load t =
+(** Load from NVMM (paying the 3x-DRAM read cost): the whole entry. *)
+let load_entry t =
   Hooks.yield ();
   check t;
   let s = Stats.get () in
@@ -258,8 +333,10 @@ let load t =
   Latency.nvm_read ();
   charge_remote t;
   let e = Atomic.get (current_atomic t) in
-  if !Hooks.access_on then announce t Hooks.A_load ~seq:(entry_seq t e);
-  e.v
+  if !Hooks.access_on then announce t Hooks.A_load ~seq:e.ver;
+  e
+
+let load t = (load_entry t).v
 
 (* Spontaneous write-back of a fresh write, with the region's runtime
    eviction probability.  Callers test {!Region.evicting} first, so the
@@ -276,66 +353,119 @@ let rec store_loop t v =
   let cur = Atomic.get (current_atomic t) in
   let e = { v; ver = cur.ver + 1; ep = write_epoch t } in
   if Atomic.compare_and_set (current_atomic t) cur e then begin
-    if !Hooks.access_on then announce t Hooks.A_store ~seq:(entry_seq t e);
+    if !Hooks.access_on then announce t Hooks.A_store ~seq:e.ver;
     if Region.evicting t.region then evict t e
   end
   else store_loop t v
 
-let rec cas_loop t expect desired =
-  let cur = Atomic.get (current_atomic t) in
-  if expect cur.v then begin
-    let e = { v = desired; ver = cur.ver + 1; ep = write_epoch t } in
-    if Atomic.compare_and_set (current_atomic t) cur e then begin
-      if !Hooks.access_on then
-        announce t (Hooks.A_cas true) ~seq:(entry_seq t e);
-      if Region.evicting t.region then evict t e;
-      (true, cur.v)
-    end
-    else cas_loop t expect desired
+(* The install step every conditional write shares: tag the still
+   unpublished [e] with the open epoch right beside the CAS — no yield
+   between, so a buffered write carries the epoch open at its install,
+   never one an advance closed while the writer was descheduled. *)
+let install t cur e =
+  e.ep <- write_epoch t;
+  if Atomic.compare_and_set (current_atomic t) cur e then begin
+    if !Hooks.access_on then announce t (Hooks.A_cas true) ~seq:e.ver;
+    if Region.evicting t.region then evict t e;
+    true
   end
+  else false
+
+let refuse t cur =
+  if !Hooks.access_on then announce t (Hooks.A_cas false) ~seq:cur.ver
+
+let rec cas_pred_loop t expect desired =
+  let cur = Atomic.get (current_atomic t) in
+  if expect cur.v then
+    if install t cur { v = desired; ver = cur.ver + 1; ep = 0 } then
+      (true, cur.v)
+    else cas_pred_loop t expect desired
   else begin
-    if !Hooks.access_on then
-      announce t (Hooks.A_cas false) ~seq:(entry_seq t cur);
+    refuse t cur;
     (false, cur.v)
   end
 
+let rec cas_loop t expected desired =
+  let cur = Atomic.get (current_atomic t) in
+  if cur.v == expected then
+    install t cur { v = desired; ver = cur.ver + 1; ep = 0 }
+    || cas_loop t expected desired
+  else begin
+    refuse t cur;
+    false
+  end
+
+(* [current] moves only forward through fresh entries, so the CAS on
+   [expected] fails only when [current] is already another entry: one
+   retry re-reads it and refuses. *)
+let rec cas_entry_loop t expected desired =
+  let cur = Atomic.get (current_atomic t) in
+  if cur == expected then
+    if install t cur desired then cur else cas_entry_loop t expected desired
+  else begin
+    refuse t cur;
+    cur
+  end
+
+(* Every charged write enters through this prologue. *)
+let begin_write t ev =
+  Hooks.yield ();
+  check t;
+  Hooks.persist_point ev;
+  let s = Stats.get () in
+  (match ev with
+  | Hooks.Write -> s.Stats.nvm_write <- s.Stats.nvm_write + 1
+  | _ -> s.Stats.nvm_cas <- s.Stats.nvm_cas + 1);
+  Latency.nvm_write ();
+  charge_remote t
+
 (** Unconditional store.  Versions stay monotone under concurrency. *)
 let store t v =
-  Hooks.yield ();
-  check t;
-  Hooks.persist_point Hooks.Write;
-  let s = Stats.get () in
-  s.Stats.nvm_write <- s.Stats.nvm_write + 1;
-  Latency.nvm_write ();
-  charge_remote t;
+  begin_write t Hooks.Write;
   store_loop t v
 
-(** Compare-and-swap where the caller decides equality via [expect] (physical
-    equality for pointers, content equality for Mirror's double-word cells).
-    Returns [(success, witnessed_value)] — like [cmpxchg], the witness is the
-    value that was in memory when the instruction executed. *)
+(** Compare-and-swap where the caller decides equality via [expect].
+    Returns [(success, witnessed_value)] — like [cmpxchg], the witness is
+    the value that was in memory when the instruction executed. *)
 let cas_pred t ~(expect : 'a -> bool) ~(desired : 'a) : bool * 'a =
-  Hooks.yield ();
-  check t;
-  Hooks.persist_point Hooks.Dwcas;
-  let s = Stats.get () in
-  s.Stats.nvm_cas <- s.Stats.nvm_cas + 1;
-  Latency.nvm_write ();
-  charge_remote t;
-  cas_loop t expect desired
+  begin_write t Hooks.Dwcas;
+  cas_pred_loop t expect desired
 
 (** Plain pointer-equality CAS. *)
 let cas t ~expected ~desired =
-  fst (cas_pred t ~expect:(fun v -> v == expected) ~desired)
+  begin_write t Hooks.Dwcas;
+  cas_loop t expected desired
+
+let next_entry e v = { v; ver = e.ver + 1; ep = 0 }
+
+(** Entry CAS: install [desired] over exactly the entry [expected] and
+    return the entry found — [expected] itself iff the install landed. *)
+let cas_entry t ~expected ~desired =
+  if desired.ver <> expected.ver + 1 then
+    invalid_arg
+      "Mirror_nvm.Slot.cas_entry: desired is not expected's successor";
+  begin_write t Hooks.Dwcas;
+  cas_entry_loop t expected desired
 
 (** Whether the cache line holds data newer than what is guaranteed
     persistent — the check behind Zuriel et al.'s elimination of repeated
     redundant persisting operations.  Free of charge (it models a volatile
     per-node flag, not an NVMM access). *)
 let is_dirty t =
-  match Atomic.get t.persisted with
-  | [] -> true
-  | p :: _ -> p.ver < (Atomic.get (current_atomic t)).ver
+  let ver = (Atomic.get (current_atomic t)).ver in
+  match t.media with
+  | Newest _ as m -> (Atomic.get (newest_atomic m)).ver < ver
+  | Front _ as m -> (
+      match Atomic.get (front_atomic m) with
+      | [] -> true
+      | p :: _ -> p.ver < ver)
+
+(* The elided write-back: free, counted as [flush_elided]. *)
+let elide t e =
+  Hooks.persist_point Hooks.Flush_elided;
+  let s = Stats.get () in
+  s.Stats.flush_elided <- s.Stats.flush_elided + 1;
+  if !Hooks.access_on then announce t Hooks.A_flush_elided ~seq:e.ver
 
 (** [clwb]: record a write-back of the line's current content.  The value is
     guaranteed persistent only once a subsequent {!Region.fence} completes,
@@ -363,7 +493,8 @@ let flush t =
     | Some l -> Region.mark_line_flushed t.region l
     | None -> ());
     if !Hooks.access_on then
-      announce t Hooks.A_flush_elided ~seq:(entry_seq t (Atomic.get (current_atomic t)))
+      announce t Hooks.A_flush_elided
+        ~seq:(Atomic.get (current_atomic t)).ver
   end
   else
     match t.line with
@@ -376,7 +507,7 @@ let flush t =
         s.Stats.flush_coalesced <- s.Stats.flush_coalesced + 1;
         if !Hooks.access_on then
           announce t Hooks.A_flush_coalesced
-            ~seq:(entry_seq t (Atomic.get (current_atomic t)))
+            ~seq:(Atomic.get (current_atomic t)).ver
     | Some l ->
         Hooks.persist_point Hooks.Flush;
         let s = Stats.get () in
@@ -385,7 +516,7 @@ let flush t =
         charge_remote t;
         Region.mark_line_flushed t.region l;
         if !Hooks.access_on then
-          announce t Hooks.A_flush ~seq:(entry_seq t (Atomic.get (current_atomic t)))
+          announce t Hooks.A_flush ~seq:(Atomic.get (current_atomic t)).ver
     | None ->
         Hooks.persist_point Hooks.Flush;
         let s = Stats.get () in
@@ -394,24 +525,15 @@ let flush t =
         charge_remote t;
         let snapshot = Atomic.get (current_atomic t) in
         Region.add_pending t.region (fun () -> persist_monotone t snapshot);
-        if !Hooks.access_on then
-          announce t Hooks.A_flush ~seq:(entry_seq t snapshot)
+        if !Hooks.access_on then announce t Hooks.A_flush ~seq:snapshot.ver
 
 (* The epoch advancer's flush of a deferred snapshot: the charged-cost
    twin of {!flush}, but over the snapshot captured at record time (a
    later advance must not persist younger-epoch content).  Elision applies
-   when the front already covers the snapshot (e.g. spontaneous eviction
+   when the media already covers the snapshot (e.g. spontaneous eviction
    beat the advance to it). *)
 let flush_snapshot t snapshot =
-  if
-    Region.elision t.region && covers snapshot (Atomic.get t.persisted)
-  then begin
-    Hooks.persist_point Hooks.Flush_elided;
-    let s = Stats.get () in
-    s.Stats.flush_elided <- s.Stats.flush_elided + 1;
-    if !Hooks.access_on then
-      announce t Hooks.A_flush_elided ~seq:(entry_seq t snapshot)
-  end
+  if Region.elision t.region && media_covers t snapshot then elide t snapshot
   else begin
     Hooks.persist_point Hooks.Flush;
     let s = Stats.get () in
@@ -419,7 +541,7 @@ let flush_snapshot t snapshot =
     Latency.flush ();
     charge_remote t;
     Region.add_pending t.region (fun () -> persist_monotone t snapshot);
-    if !Hooks.access_on then announce t Hooks.A_flush ~seq:(entry_seq t snapshot)
+    if !Hooks.access_on then announce t Hooks.A_flush ~seq:snapshot.ver
   end;
   Hooks.yield ()
 
@@ -431,17 +553,12 @@ let flush_snapshot t snapshot =
 let persist_deferred t =
   Hooks.yield ();
   check t;
-  if Region.elision t.region && not (is_dirty t) then begin
-    Hooks.persist_point Hooks.Flush_elided;
-    let s = Stats.get () in
-    s.Stats.flush_elided <- s.Stats.flush_elided + 1;
-    if !Hooks.access_on then
-      announce t Hooks.A_flush_elided ~seq:(entry_seq t (Atomic.get (current_atomic t)))
-  end
+  if Region.elision t.region && not (is_dirty t) then
+    elide t (Atomic.get (current_atomic t))
   else begin
     let snapshot = Atomic.get (current_atomic t) in
     if !Hooks.access_on then
-      announce t Hooks.A_persist_deferred ~seq:(entry_seq t snapshot);
+      announce t Hooks.A_persist_deferred ~seq:snapshot.ver;
     Region.record_deferred t.region ~uid:t.uid ~ver:snapshot.ver
       ~flush:(fun () -> flush_snapshot t snapshot)
   end
@@ -454,28 +571,34 @@ let recover_store t v =
   let cur = Atomic.get (current_atomic t) in
   let e = { v; ver = cur.ver + 1; ep = 0 } in
   Atomic.set (current_atomic t) e;
-  Atomic.set t.persisted [ e ];
+  set_media t e;
   t.lost <- false;
-  if !Hooks.access_on then
-    announce t Hooks.A_recovery_write ~seq:(entry_seq t e)
+  if !Hooks.access_on then announce t Hooks.A_recovery_write ~seq:e.ver
 
-(** Test/recovery introspection: what would survive a crash right now
-    (assuming pending write-backs are lost). *)
-let persisted_value t = Option.map (fun e -> e.v) (newest_persisted t)
+let persisted_value t = Option.map (fun e -> e.v) (persisted_entry t)
 
 (** What the durable-epoch cut would restore right now: the newest
     persisted entry from a committed epoch (test/recovery introspection). *)
 let durable_value t =
-  let de = Region.durable_epoch t.region in
-  match List.filter (fun p -> p.ep <= de) (Atomic.get t.persisted) with
-  | [] -> None
-  | p :: _ -> Some p.v
+  match t.media with
+  | Newest _ -> persisted_value t
+  | Front _ as m -> (
+      let de = Region.durable_epoch t.region in
+      match List.filter (fun p -> p.ep <= de) (Atomic.get (front_atomic m)) with
+      | [] -> None
+      | p :: _ -> Some p.v)
 
 (** The coherent (cache) view, without charging costs — test-only. *)
-let peek t = (Atomic.get (current_atomic t)).v
+let peek_entry t = Atomic.get (current_atomic t)
 
+let peek t = (peek_entry t).v
 let is_lost t = t.lost
-let history_length t = List.length (Atomic.get t.persisted)
+
+let history_length t =
+  match t.media with
+  | Newest _ -> Option.fold ~none:0 ~some:(fun _ -> 1) (persisted_entry t)
+  | Front _ as m -> List.length (Atomic.get (front_atomic m))
+
 let region t = t.region
 let uid t = t.uid
 let pair t = t.pair

@@ -1,12 +1,24 @@
 (** One (double-)word of simulated persistent memory, together with its
     cache-line state.
 
-    A slot distinguishes the coherent view every processor sees ([current])
-    from what is guaranteed to survive a crash ([persisted]).  Writes dirty
-    the line; {!flush} records a write-back that {!Region.fence} commits;
-    a {!Region.crash} discards everything not committed (modulo the crash
-    policy's eviction probability).  All accesses charge {!Stats} events and
-    {!Latency} costs, and yield to the deterministic scheduler. *)
+    A slot distinguishes the coherent view every processor sees (the
+    current {!entry}) from what is guaranteed to survive a crash (the
+    persisted one).  Each write installs one immutable {!entry} block —
+    value, version, epoch tag — and a write-back persists that same block,
+    so a Mirror variable ({!Mirror_core.Patomic}) uses the entry as its
+    double-word cell: the version is the Mirror sequence number.  Writes
+    dirty the line; {!flush} records a write-back that {!Region.fence}
+    commits; a {!Region.crash} discards everything not committed (modulo
+    the crash policy's eviction probability).  All accesses charge
+    {!Stats} events and {!Latency} costs, and yield to the deterministic
+    scheduler. *)
+
+type 'a entry = private { v : 'a; ver : int; mutable ep : int }
+(** One write: the value, the slot's version after the write ([0] at
+    birth, [+1] per write; it is also the seq announced on access events),
+    and the epoch that produced it ([0] on strict slots).  Entries are
+    immutable once installed; between two crashes a version names exactly
+    one entry of its slot. *)
 
 type 'a t
 
@@ -16,7 +28,6 @@ val make :
   ?pair:int ->
   ?buffered:bool ->
   ?line:Region.line ->
-  ?seq_of:('a -> int) ->
   Region.t ->
   'a ->
   'a t
@@ -33,10 +44,8 @@ val make :
     variable this slot is the persistent replica of, for access-event
     attribution.  [line] carves the slot from a cache line obtained via
     {!Region.place}/{!Region.place_near}: line-mates share write-backs
-    and crash fate (ignored on buffered slots).  [seq_of] extracts
-    the value-sequence number announced on access events (Mirror passes the
-    cell's seq so replica events share one namespace); the default is the
-    slot's internal line version.  [buffered] (default [false]) puts the
+    and crash fate (ignored on buffered slots).  [buffered] (default
+    [false]) puts the
     slot under the buffered discipline: writes tag the region's open epoch
     and {!persist_deferred} records into the epoch's deferred set; crash
     recovery rolls the slot back to the newest write from a committed
@@ -45,6 +54,9 @@ val make :
 val load : 'a t -> 'a
 (** Load from NVMM, paying the NVMM read cost. *)
 
+val load_entry : 'a t -> 'a entry
+(** {!load} returning the whole current entry (same charges, same event). *)
+
 val store : 'a t -> 'a -> unit
 (** Unconditional store (cache only until flushed). *)
 
@@ -52,8 +64,20 @@ val cas : 'a t -> expected:'a -> desired:'a -> bool
 (** Pointer-equality compare-and-swap. *)
 
 val cas_pred : 'a t -> expect:('a -> bool) -> desired:'a -> bool * 'a
-(** CAS with caller-defined equality (content comparison for Mirror's
-    double-word cells).  Returns [(success, witnessed_value)]. *)
+(** CAS with caller-defined equality.  Returns
+    [(success, witnessed_value)]. *)
+
+val next_entry : 'a entry -> 'a -> 'a entry
+(** [next_entry e v]: an unpublished entry holding [v] one version past
+    [e] — the [desired] argument of {!cas_entry}. *)
+
+val cas_entry : 'a t -> expected:'a entry -> desired:'a entry -> 'a entry
+(** Double-word CAS: install [desired] (built by {!next_entry} from
+    [expected]) iff the current entry is [expected], and return the entry
+    found — [expected] itself exactly when the install landed.  The epoch
+    tag of [desired] is written by the install, right beside its CAS.
+    Same charges and events as {!cas}.
+    @raise Invalid_argument if [desired] is not [expected]'s successor. *)
 
 val flush : 'a t -> unit
 (** [clwb]: record a write-back of the line's current content; guaranteed
@@ -82,6 +106,9 @@ val recover_store : 'a t -> 'a -> unit
     recovery procedures that rewrite persistent state (e.g. redo-log
     replay).  Heals lost slots. *)
 
+val persisted_entry : 'a t -> 'a entry option
+(** The newest persisted entry ([None]: nothing ever persisted). *)
+
 val persisted_value : 'a t -> 'a option
 (** The newest media content ([None]: nothing ever persisted).  On a
     buffered slot this may sit in a not-yet-committed epoch; what a crash
@@ -99,6 +126,9 @@ val history_length : 'a t -> int
 
 val peek : 'a t -> 'a
 (** The coherent view without cost accounting — tests and recovery only. *)
+
+val peek_entry : 'a t -> 'a entry
+(** {!peek} returning the whole current entry. *)
 
 val is_lost : 'a t -> bool
 (** True after a crash hit this slot before anything was persisted; any

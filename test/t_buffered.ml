@@ -201,6 +201,39 @@ let test_help_advance_races () =
       vars
   done
 
+(* An epoch advance that lands inside a buffered CAS — after the writer
+   loaded [repp], before its install — closes the epoch that was open when
+   the CAS began.  The write must carry the epoch open at its install: with
+   every write evicted to the media at once, a crash before the next
+   advance rolls it back.  An entry tagged before the advance would claim
+   the committed epoch and survive the crash. *)
+let test_epoch_tag_at_install () =
+  let r = Region.create ~runtime_evict_prob:1.0 ~epoch_len:8 () in
+  let v = Patomic.make ~discipline:Patomic.Buffered r 0 in
+  let opened = Region.cur_epoch r in
+  (* an uncontended CAS yields before its repp load, inside it, at the
+     repv read and at the install: the fourth yield sits in between *)
+  let yields = ref 0 in
+  let ok =
+    Hooks.with_yield
+      (fun () ->
+        incr yields;
+        if !yields = 4 then Region.help_advance r)
+      (fun () -> Patomic.cas v ~expected:0 ~desired:1)
+  in
+  check ok "cas succeeds";
+  Alcotest.(check int)
+    "the advance committed the epoch open at the repp load" opened
+    (Region.durable_epoch r);
+  check
+    (Patomic.persisted_value v = Some 1)
+    "the write was evicted to the media";
+  Region.crash r;
+  Patomic.recover v;
+  Region.mark_recovered r;
+  Alcotest.(check int) "the write from the open epoch rolled back" 0
+    (Patomic.load v)
+
 (* A buffered slot re-persisted in every epoch keeps a bounded media
    history: only the newest committed entry plus the uncommitted ones.
    Pruning must not change what a crash restores. *)
@@ -338,6 +371,8 @@ let suite =
         Alcotest.test_case "empty help-advance is free" `Quick
           test_help_advance_empty_is_free;
         Alcotest.test_case "help-advance races" `Quick test_help_advance_races;
+        Alcotest.test_case "epoch tag read at the install" `Quick
+          test_epoch_tag_at_install;
         Alcotest.test_case "persisted history stays bounded" `Quick
           test_history_bounded;
         Alcotest.test_case "crash torture list (buffered)" `Slow

@@ -363,10 +363,42 @@ let test_layout () =
   let r = Support.fresh_region ~track:false () in
   let v = Patomic.make r 0 in
   let w = Support.own_words v r in
-  check (w <= 36) (Printf.sprintf "strict variable: %d words, at most 36" w);
+  check (w <= 23) (Printf.sprintf "strict variable: %d words, at most 23" w);
   let s = Mirror_nvm.Slot.make ~persist:true r 0 in
   let w = Support.own_words s r in
-  check (w <= 20) (Printf.sprintf "slot: %d words, at most 20" w)
+  check (w <= 15) (Printf.sprintf "slot: %d words, at most 15" w)
+
+(* Fails without allocating on the success path. *)
+let check_cas ok = if not ok then Alcotest.fail "an uncontended CAS failed"
+
+(* Minor words per call of [f i], averaged over [n] calls after one warm-up
+   call. *)
+let words_per_call n f =
+  f 0;
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    f i
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* One block per write: a successful strict CAS allocates its entry (4
+   words) plus the write-back thunk and pending cons the flush records (8
+   words) — no cell, no closure, no verdict tuple. *)
+let test_cas_alloc () =
+  let r = Support.fresh_region ~track:false () in
+  let v = Patomic.make r 0 in
+  let w =
+    words_per_call 100_000 (fun i ->
+        check_cas (Patomic.cas v ~expected:i ~desired:(i + 1)))
+  in
+  check (w <= 12.0)
+    (Printf.sprintf "strict Patomic.cas: %.2f minor words, at most 12" w);
+  let s = Mirror_nvm.Slot.make ~persist:true r 0 in
+  let w =
+    words_per_call 100_000 (fun i ->
+        check_cas (Mirror_nvm.Slot.cas s ~expected:i ~desired:(i + 1)))
+  in
+  check (w <= 4.0) (Printf.sprintf "Slot.cas: %.2f minor words, at most 4" w)
 
 (* Two real domains race on the in-record atomic fields: [repv] through
    [fetch_add], a slot's [current] through a CAS retry loop.  Every
@@ -425,6 +457,7 @@ let suite =
           test_exhaustive_durable_register;
         Alcotest.test_case "layout: variable and slot words" `Quick
           test_layout;
+        Alcotest.test_case "cas: minor words per call" `Quick test_cas_alloc;
         Alcotest.test_case "field-0 atomics across two domains" `Quick
           test_two_domain_atomicity;
         QCheck_alcotest.to_alcotest prop_random_ops_keep_invariants;

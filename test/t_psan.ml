@@ -90,10 +90,9 @@ let test_v3_replica_band () =
   let region = Support.fresh_region () in
   let r =
     sanitized (fun () ->
-        (* values ARE sequence numbers for this fixture pair *)
-        let repp =
-          Slot.make ~persist:true ~pair:7001 ~seq_of:Fun.id region 0
-        in
+        (* values equal the slot's versions, which are the sequence
+           numbers announced for this fixture pair *)
+        let repp = Slot.make ~persist:true ~pair:7001 region 0 in
         let bump expected =
           ignore
             (Slot.cas_pred repp

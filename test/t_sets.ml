@@ -124,7 +124,7 @@ let test_transform_cost_ordering () =
   check (fl_mi = 0 && fe_mi = 0) "Mirror persists nothing on reads";
   check (nr_mi = 0) "Mirror reads never touch NVMM"
 
-(* -- Mirror lookups allocate nothing per call; a key costs 43 words ------- *)
+(* -- Mirror lookups allocate nothing per call; a key costs 33 words ------- *)
 
 (* Minor words per [contains] and per [find_opt] on a table with every even
    key of [0, range) present, measured after a warm-up pass (which
@@ -181,7 +181,7 @@ let test_hash_key_words () =
     ignore (S.insert t k k)
   done;
   let w = float_of_int (Support.own_words t region - w0) /. float_of_int n in
-  check (w <= 43.0) (Printf.sprintf "%.2f words per key, at most 43" w)
+  check (w <= 33.0) (Printf.sprintf "%.2f words per key, at most 33" w)
 
 let suite =
   [
