@@ -10,8 +10,9 @@
 
     [cas] compares values by physical equality — the semantics of a
     hardware CAS on a word: store immediates or compare heap values by
-    identity (the structures allocate a fresh box per write, which also
-    rules out ABA). *)
+    identity.  A structure whose field can hold the same value twice must
+    make that return harmless (docs/PROTOCOL.md, "ABA in the structures
+    above"). *)
 
 module type S = sig
   val name : string
