@@ -71,13 +71,31 @@ bench-smoke:
 # crash reset over tracked slots.  bench.exe exits 1 when an op result
 # disagrees with the sequential oracle or the contents after a crash and
 # recovery differ from the acknowledged set.  Its timings are
-# informational; perfbench/run.py is the benchmark proper.
+# informational; perfbench/run.py is the benchmark proper.  One figure is
+# a gate: mem_bytes_per_key of kv-read and kv-update, read from each run's
+# last (JSON) line, must not exceed MEM_CEILING_B.  It is deterministic to
+# about 0.01 B (504.02 B per key at seed 1: three Mirror variables of 19
+# words, the node and the bucket array), so a layout regression fails here
+# instead of passing silently.  Each run's output lands in $(ARTIFACTS).
 PERFBENCH = ./_build/default/perfbench/bench.exe
+MEM_CEILING_B = 510
 
 perfbench-smoke:
 	dune build ./perfbench/bench.exe
-	$(PERFBENCH) --workload kv-read --seed 1 --trace 0
-	$(PERFBENCH) --workload kv-update --seed 1 --trace 0
+	@mkdir -p $(ARTIFACTS)
+	@for w in kv-read kv-update; do \
+	  out=$(ARTIFACTS)/perfbench_smoke_$$w.txt; \
+	  echo "$(PERFBENCH) --workload $$w --seed 1 --trace 0"; \
+	  $(PERFBENCH) --workload $$w --seed 1 --trace 0 > $$out; \
+	  status=$$?; cat $$out; \
+	  [ $$status -eq 0 ] || exit $$status; \
+	  tail -n 1 $$out | python3 -c 'import json, sys; \
+	    w, cap = sys.argv[1], float(sys.argv[2]); \
+	    m = json.load(sys.stdin)["metrics"]["mem_bytes_per_key"]["value"]; \
+	    print(("mem ok" if m <= cap else "MEM CEILING EXCEEDED") \
+	          + f": {w} mem_bytes_per_key {m:.2f} B, ceiling {cap:g} B"); \
+	    sys.exit(0 if m <= cap else 1)' $$w $(MEM_CEILING_B) || exit 1; \
+	done
 	$(PERFBENCH) --workload kv-buffered --seed 1 --trace 0
 	$(PERFBENCH) --workload recover --seed 1 --trace 0
 

@@ -19,6 +19,12 @@
     record ({!repv_atomic}), so a read is one dependent load fewer than
     through a separate [Atomic.t] box.
 
+    Each fact of a variable is stored once: the record holds [repv], the
+    replica state, the region and [repp] (5 words); the pair id and the
+    discipline are read from [repp]'s slot.  A strict variable is 19
+    words in all: this record, the slot (8), its media block (2) and the
+    shared entry (4).
+
     Invariants maintained (proved as Lemmas 5.3–5.5 in the paper, checked by
     the test suite under deterministic interleavings):
 
@@ -45,18 +51,20 @@ type discipline =
           epoch.  Recovery rolls back to the last committed epoch —
           buffered durable linearizability (bounded staleness). *)
 
+(* Where the volatile replica lives, and whether it is live: a crash
+   turns a live state into its stale twin and recovery turns it back, so
+   the placement survives both. *)
+type replica = Live_dram | Live_nvmm | Stale_dram | Stale_nvmm
+
 type 'a t = {
   mutable repv : 'a Slot.entry;
       (** the volatile replica.  Must stay field 0 and must only be
           accessed through {!repv_atomic}. *)
-  uid : int;  (** pair identity carried on access events *)
-  repp : 'a Slot.t;
-  placement : placement;
-  discipline : discipline;
-  mutable valid : bool;
-      (** false between a crash and this variable's recovery.  Written
-          only while the region is down, when no other domain runs. *)
+  mutable replica : replica;
+      (** written only while the region is down, when no other domain
+          runs.  Sits next to [region]: {!load} reads both. *)
   region : Region.t;
+  repp : 'a Slot.t;
 }
 
 (* OCaml 5.1's [Atomic] primitives act on field 0 of the block they are
@@ -67,6 +75,18 @@ external repv_atomic : 'a t -> 'a Slot.entry Atomic.t = "%identity"
 
 let next_uid = Atomic.make 0
 
+let invalidate t =
+  t.replica <-
+    (match t.replica with
+    | Live_dram | Stale_dram -> Stale_dram
+    | Live_nvmm | Stale_nvmm -> Stale_nvmm)
+
+let revalidate t =
+  t.replica <-
+    (match t.replica with
+    | Live_dram | Stale_dram -> Live_dram
+    | Live_nvmm | Stale_nvmm -> Live_nvmm)
+
 (* Volatile-replica access events: attributed to the persistent replica's
    slot uid so a slot's event trace shows the whole pair's history.  Call
    sites gate on [Hooks.access_on]. *)
@@ -75,7 +95,7 @@ let announce_repv t op ~seq =
     {
       Hooks.a_op = op;
       a_slot = Slot.uid t.repp;
-      a_pair = t.uid;
+      a_pair = Slot.pair t.repp;
       a_region = Region.id t.region;
       a_domain = (Domain.self () :> int);
       a_tid = Hooks.tid ();
@@ -101,44 +121,42 @@ let make ?(placement = Dram) ?(discipline = Strict) ?(persist = true) ?line
     | Strict, (Some _ as l) -> l
     | Strict, None -> Region.place region
   in
-  (* allocation-time copy to NVMM + clwb (paper §4.3.2): billed by the
-     substrate via [charge_copy] so elision accounting and the sanitizer's
-     event stream see the same make the cost belongs to; the ordering
-     fence is folded into the next protocol fence *)
+  (* allocation-time copy to NVMM + clwb (paper §4.3.2): billed in the
+     substrate by [Slot.make_replica] so elision accounting and the
+     sanitizer's event stream see the same make the cost belongs to; the
+     ordering fence is folded into the next protocol fence *)
   let repp =
-    Slot.make ~persist ~charge_copy:persist ~pair:uid
-      ~buffered:(discipline = Buffered)
+    Slot.make_replica ~pair:uid ~buffered:(discipline = Buffered) ~persist
       ?line region v
   in
   let t =
     {
       repv = Slot.peek_entry repp;
-      uid;
-      repp;
-      placement;
-      discipline;
-      valid = true;
+      replica = (match placement with Dram -> Live_dram | Nvmm -> Live_nvmm);
       region;
+      repp;
     }
   in
-  Region.register_volatile region (fun () -> t.valid <- false);
+  Region.register_volatile region invalidate t;
   t
 
 let check t =
   Region.check_up t.region;
-  if not t.valid then
-    invalid_arg
-      "Patomic: access to a variable that was not recovered after a crash \
-       (the tracing routine did not reach it)"
+  match t.replica with
+  | Stale_dram | Stale_nvmm ->
+      invalid_arg
+        "Patomic: access to a variable that was not recovered after a crash \
+         (the tracing routine did not reach it)"
+  | Live_dram | Live_nvmm -> ()
 
 let read_repv t =
   Hooks.yield ();
   let s = Stats.get () in
-  (match t.placement with
-  | Dram ->
+  (match t.replica with
+  | Live_dram | Stale_dram ->
       s.Stats.dram_read <- s.Stats.dram_read + 1;
       Latency.dram_read ()
-  | Nvmm ->
+  | Live_nvmm | Stale_nvmm ->
       s.Stats.nvm_read <- s.Stats.nvm_read + 1;
       Latency.nvm_read ());
   let c = Atomic.get (repv_atomic t) in
@@ -148,9 +166,9 @@ let read_repv t =
 let write_repv t ~expected ~desired =
   Hooks.yield ();
   let s = Stats.get () in
-  (match t.placement with
-  | Dram -> s.Stats.dram_cas <- s.Stats.dram_cas + 1
-  | Nvmm ->
+  (match t.replica with
+  | Live_dram | Stale_dram -> s.Stats.dram_cas <- s.Stats.dram_cas + 1
+  | Live_nvmm | Stale_nvmm ->
       s.Stats.nvm_cas <- s.Stats.nvm_cas + 1;
       Latency.nvm_write ());
   (* double-word CAS on the volatile replica: the blocks are the cells *)
@@ -178,11 +196,11 @@ let load t =
    durable {e or} belongs to an epoch younger than the durable cut", which
    is exactly buffered durable linearizability. *)
 let persist_repp t =
-  match t.discipline with
-  | Strict ->
-      Slot.flush t.repp;
-      Region.fence t.region
-  | Buffered -> Slot.persist_deferred t.repp
+  if Slot.buffered t.repp then Slot.persist_deferred t.repp
+  else begin
+    Slot.flush t.repp;
+    Region.fence t.region
+  end
 
 (** Figure 4, returning only the witness: the value found in memory —
     [expected] itself exactly when the exchange succeeded (every failure
@@ -284,7 +302,7 @@ let recover t =
   if Slot.is_lost t.repp then
     invalid_arg "Patomic.recover: persistent replica was never persisted";
   Atomic.set (repv_atomic t) (Slot.peek_entry t.repp);
-  t.valid <- true
+  revalidate t
 
 (** Read from the persistent space during recovery (the region is down, the
     volatile replica may not be restored yet). *)
@@ -295,7 +313,7 @@ let load_recovery t =
 
 (* -- introspection (tests, invariant checking) --------------------------- *)
 
-let discipline t = t.discipline
+let discipline t = if Slot.buffered t.repp then Buffered else Strict
 let line t = Slot.line t.repp
 let seq_v t = (Atomic.get (repv_atomic t)).ver
 let seq_p t = (Slot.peek_entry t.repp).ver

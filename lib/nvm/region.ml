@@ -57,6 +57,15 @@ type line = {
   mutable l_resets : (persist_first:bool -> unit) list;
 }
 
+(** One domain's pending write-backs: a stack of thunks, oldest at index
+    0.  Appending writes one cell, allocating only when the array
+    doubles; drained cells are reset to [noop] so the set retains no
+    snapshot. *)
+type pending = {
+  mutable p_thunks : (unit -> unit) array;
+  mutable p_len : int;
+}
+
 type t = {
   id : int;  (** key into each domain's pending-set table *)
   slots_per_line : int;
@@ -79,9 +88,9 @@ type t = {
   mutable track_slots : bool;
       (** benches disable registration: they never crash and must not retain
           every node ever allocated *)
-  mutable domain_pending : (unit -> unit) list ref list;
+  mutable domain_pending : pending list;
       (** every domain's pending write-back set for this region, for crash
-          processing and introspection; each ref is only mutated by its
+          processing and introspection; each set is only mutated by its
           owning domain *)
   mutable elide : bool;
       (** flush/fence elision mode: skip (and count as elided) flushes of
@@ -187,17 +196,22 @@ let check_up t =
     invalid_arg
       "Mirror_nvm.Region: access to a crashed region before recovery"
 
-let register_slot t reset =
+(* Registration takes the reset and its argument apart, so that the
+   closure joining them is built only on a region that tracks slots: an
+   untracked region (every benchmark) would drop it at once. *)
+let register_slot t reset x =
   if t.track_slots then begin
     Mutex.lock t.mutex;
-    t.slot_resets <- reset :: t.slot_resets;
+    t.slot_resets <-
+      (fun ~persist_first -> reset x ~persist_first) :: t.slot_resets;
     Mutex.unlock t.mutex
   end
 
-let register_volatile t invalidate =
+let register_volatile t invalidate x =
   if t.track_slots then begin
     Mutex.lock t.mutex;
-    t.volatile_invalidators <- invalidate :: t.volatile_invalidators;
+    t.volatile_invalidators <-
+      (fun () -> invalidate x) :: t.volatile_invalidators;
     Mutex.unlock t.mutex
   end
 
@@ -227,9 +241,12 @@ let refuse_down t =
   Mutex.unlock t.mutex;
   invalid_arg "Mirror_nvm.Region: access to a crashed region before recovery"
 
-let pending_key : (unit -> unit) list ref region_cache Domain.DLS.key =
+let noop () = ()
+let new_pending () = { p_thunks = Array.make 8 noop; p_len = 0 }
+
+let pending_key : pending region_cache Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { c_id = -1; c_val = ref []; c_tbl = Hashtbl.create 8 })
+      { c_id = -1; c_val = new_pending (); c_tbl = Hashtbl.create 8 })
 
 let my_pending t =
   let c = Domain.DLS.get pending_key in
@@ -239,7 +256,7 @@ let my_pending t =
       match Hashtbl.find_opt c.c_tbl t.id with
       | Some r -> r
       | None ->
-          let r = ref [] in
+          let r = new_pending () in
           Mutex.lock t.mutex;
           if t.down then refuse_down t;
           t.domain_pending <- r :: t.domain_pending;
@@ -256,8 +273,27 @@ let my_pending t =
     persisted) is the caller's business: {!Slot.flush} captures the cache
     content at flush time, which is a legal write-back instant. *)
 let add_pending t thunk =
-  let r = my_pending t in
-  r := thunk :: !r
+  let p = my_pending t in
+  let n = p.p_len in
+  if n = Array.length p.p_thunks then begin
+    let a = Array.make (2 * n) noop in
+    Array.blit p.p_thunks 0 a 0 n;
+    p.p_thunks <- a
+  end;
+  p.p_thunks.(n) <- thunk;
+  p.p_len <- n + 1
+
+(* Empty [p], passing each thunk to [f] newest first. *)
+let drain p f =
+  let n = p.p_len in
+  p.p_len <- 0;
+  for i = n - 1 downto 0 do
+    let thunk = p.p_thunks.(i) in
+    p.p_thunks.(i) <- noop;
+    f thunk
+  done
+
+let run thunk = thunk ()
 
 (* -- cache lines ---------------------------------------------------------- *)
 
@@ -333,10 +369,11 @@ let line_home l = l.l_home
     current content (called when the line's pending flush drains or the
     line is evicted); [reset] is its crash reset, applied line-atomically.
     Resets are gated on [track_slots] like {!register_slot}. *)
-let line_add_member t l ~persist ~reset =
+let line_add_member t l ~persist ~reset x =
   Mutex.lock t.mutex;
   l.l_members <- persist :: l.l_members;
-  if t.track_slots then l.l_resets <- reset :: l.l_resets;
+  if t.track_slots then
+    l.l_resets <- (fun ~persist_first -> reset x ~persist_first) :: l.l_resets;
   Mutex.unlock t.mutex
 
 (** Write back every member's current content — what draining the line's
@@ -362,8 +399,8 @@ let mark_line_flushed t l =
     guaranteed persistent.  With elision on, a fence that has nothing
     pending is a free no-op ([fence_elided]). *)
 let fence t =
-  let r = my_pending t in
-  if t.elide && !r = [] then begin
+  let p = my_pending t in
+  if t.elide && p.p_len = 0 then begin
     Hooks.persist_point Hooks.Fence_elided;
     let s = Stats.get () in
     s.Stats.fence_elided <- s.Stats.fence_elided + 1;
@@ -374,10 +411,8 @@ let fence t =
     Hooks.persist_point Hooks.Fence;
     Stats.((get ()).fence <- (get ()).fence + 1);
     Latency.fence ();
-    let thunks = !r in
-    r := [];
     if t.slots_per_line > 1 then Hashtbl.reset (my_inflight t);
-    List.iter (fun f -> f ()) thunks;
+    drain p run;
     if !Hooks.access_on then announce_fence t Hooks.A_fence;
     Hooks.yield ()
   end
@@ -385,7 +420,7 @@ let fence t =
 let pending_count t =
   Mutex.lock t.mutex;
   let n =
-    List.fold_left (fun acc r -> acc + List.length !r) 0 t.domain_pending
+    List.fold_left (fun acc p -> acc + p.p_len) 0 t.domain_pending
   in
   Mutex.unlock t.mutex;
   n
@@ -563,21 +598,15 @@ let crash ?(policy = Adversarial) t =
   Mutex.lock t.mutex;
   t.crashes <- t.crashes + 1;
   t.down <- true;
-  (* 1. un-fenced flushes (every domain's): apply the policy *)
-  let thunks =
-    List.concat_map
-      (fun r ->
-        let l = !r in
-        r := [];
-        l)
-      t.domain_pending
-  in
   let survive () =
     match policy with
     | Adversarial -> false
     | Eviction p -> Random.State.float t.rng 1.0 < p
   in
-  List.iter (fun f -> if survive () then f ()) thunks;
+  (* 1. un-fenced flushes (every domain's): apply the policy *)
+  List.iter
+    (fun p -> drain p (fun f -> if survive () then f ()))
+    t.domain_pending;
   (* 1a. in-flight line marks die with the cache *)
   List.iter Hashtbl.reset t.domain_inflight;
   (* 1b. buffered epochs: the deferred sets die with the cache, and the

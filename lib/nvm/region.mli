@@ -65,8 +65,15 @@ val check_up : t -> unit
 (** @raise Invalid_argument when the region is down (access before
     recovery). *)
 
-val register_slot : t -> (persist_first:bool -> unit) -> unit
-val register_volatile : t -> (unit -> unit) -> unit
+val register_slot : t -> ('a -> persist_first:bool -> unit) -> 'a -> unit
+(** [register_slot t reset x]: apply [reset x] at every {!crash} — persist
+    the slot's current content first when the crash policy says so, then
+    reset its cache view to the persisted state.  Nothing is registered,
+    and no closure is built, unless the region tracks slots. *)
+
+val register_volatile : t -> ('a -> unit) -> 'a -> unit
+(** [register_volatile t invalidate x]: apply [invalidate x] at every
+    {!crash}; gated on [track_slots] like {!register_slot}. *)
 
 val add_pending : t -> (unit -> unit) -> unit
 (** Record a write-back thunk in the calling domain's pending set (used by
@@ -101,12 +108,17 @@ val line_home : line -> int
     when {!Latency.numa_remote_ns} is non-zero. *)
 
 val line_add_member :
-  t -> line -> persist:(unit -> unit) -> reset:(persist_first:bool -> unit)
-  -> unit
-(** Register a member slot: [persist] write-backs its current content when
-    the line's pending flush drains (or the line is evicted); [reset] is
-    its crash reset, applied line-atomically with one shared survival
-    draw.  Reset registration is gated on [track_slots]. *)
+  t ->
+  line ->
+  persist:(unit -> unit) ->
+  reset:('a -> persist_first:bool -> unit) ->
+  'a ->
+  unit
+(** [line_add_member t l ~persist ~reset x] registers a member slot:
+    [persist] write-backs its current content when the line's pending
+    flush drains (or the line is evicted); [reset x] is its crash reset,
+    applied line-atomically with one shared survival draw.  Reset
+    registration is gated on [track_slots], like {!register_slot}. *)
 
 val line_persist_members : line -> unit
 (** Write back every member's current content (runtime eviction of the

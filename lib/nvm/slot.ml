@@ -17,6 +17,11 @@
     same line can never travel back in time, so a concurrent flush of an
     older snapshot must not overwrite a newer persisted value.
 
+    The media field names the slot's whole persistent state: its
+    discipline (strict or buffered) and whether a crash lost it (a
+    constant constructor per discipline), so the record is 8 words
+    (64 bytes with its header).
+
     Slots charge NVMM access costs ({!Latency}) and events ({!Stats}), and
     call {!Hooks.yield} at each atomic step so the deterministic scheduler
     can interleave them. *)
@@ -28,11 +33,12 @@ type 'a entry = { v : 'a; ver : int; mutable ep : int }
     [ep] is written only before the entry is published, by the install
     step right beside its CAS. *)
 
-(* The media state.  Each constructor is a one-field mutable block, which
-   is exactly the layout of an [Atomic.t]: the field is read and CASed in
-   place through {!newest_atomic} / {!front_atomic}, so a strict slot
-   reaches its persisted entry in one hop, the same as through an
-   [Atomic.t] box.  The constructor doubles as the discipline flag. *)
+(* The media state.  Each non-constant constructor is a one-field mutable
+   block, which is exactly the layout of an [Atomic.t]: the field is read
+   and CASed in place through {!newest_atomic} / {!front_atomic}, so a
+   strict slot reaches its persisted entry in one hop, the same as through
+   an [Atomic.t] box.  The constructor doubles as the discipline flag, and
+   the two constant constructors are the lost states of each discipline. *)
 type 'a media =
   | Newest of { mutable newest : 'a entry }
       (** strict slot: the one persisted entry, or an entry with
@@ -47,6 +53,13 @@ type 'a media =
           ([<= Region.durable_epoch]) exists.  The older durable entry
           stays alive until the newer entry's epoch commits, so a crash
           can roll back to the durable cut. *)
+  | Lost_strict
+  | Lost_buffered
+      (** a crash hit the slot while nothing of it was durable: its
+          post-crash content is garbage, and any access is a detected bug.
+          Entered only while the region is down, when no other domain runs;
+          left only by {!recover_store}, which rebuilds the media block for
+          the slot's discipline. *)
 
 external newest_atomic : 'a media -> 'a entry Atomic.t = "%identity"
 [@@mlint.allow L7 "applied to Newest blocks only: one mutable field"]
@@ -59,6 +72,13 @@ type 'a t = {
       (** the coherent view.  Must stay field 0 and must only be accessed
           through {!current_atomic}. *)
   region : Region.t;
+  mutable media : 'a media;
+      (** the persisted state; [Front] and [Lost_buffered] mark a buffered
+          slot: writes tag the open epoch and persists are recorded into
+          the epoch's deferred set instead of flushing.  Replaced only
+          while the region is down (a crash losing the slot, a recovery
+          write healing it); in normal operation the block is fixed and
+          only its field moves. *)
   uid : int;  (** global location identity, for access-event attribution *)
   pair : int;  (** owning Mirror pair uid, [-1] when not a replica *)
   line : Region.line option;
@@ -70,15 +90,6 @@ type 'a t = {
           allocating logical thread when lineless.  Accesses from other
           threads pay the NUMA remote-line surcharge when the
           {!Latency.numa_remote_ns} knob is on. *)
-  media : 'a media;
-      (** the persisted state; [Front] marks a buffered slot: writes tag
-          the open epoch and persists are recorded into the epoch's
-          deferred set instead of flushing *)
-  mutable lost : bool;
-      (** set when a crash hits a slot that was never persisted: its
-          post-crash content is garbage, and any access is a detected bug.
-          Written only while the region is down, when no other domain
-          runs. *)
 }
 
 (* OCaml 5.1's [Atomic] primitives act on field 0 of the block they are
@@ -89,11 +100,18 @@ external current_atomic : 'a t -> 'a entry Atomic.t = "%identity"
 
 let next_uid = Atomic.make 0
 
-(* The epoch tag for a fresh write on this slot. *)
-let write_epoch t =
+let buffered t =
   match t.media with
-  | Front _ -> Region.cur_epoch t.region
-  | Newest _ -> 0
+  | Front _ | Lost_buffered -> true
+  | Newest _ | Lost_strict -> false
+
+let is_lost t =
+  match t.media with
+  | Lost_strict | Lost_buffered -> true
+  | Newest _ | Front _ -> false
+
+(* The epoch tag for a fresh write on this slot. *)
+let write_epoch t = if buffered t then Region.cur_epoch t.region else 0
 
 (* The strict media's "nothing persisted yet" entry: a version below every
    write's, so it covers nothing and leaves the slot dirty. *)
@@ -166,7 +184,10 @@ let rec prune_committed de seen l =
    uncommitted epoch) the newer one answers too.  So a buffered slot
    re-persisted in every epoch keeps at most two entries.  A stale
    [durable_epoch] read only prunes less: the durable cut never moves
-   back. *)
+   back.
+
+   A lost slot takes no write-back: what its cache holds is garbage, and
+   it stays lost until {!recover_store} overwrites it. *)
 let rec persist_newest cell e =
   let old = Atomic.get cell in
   if not (dominates old e) then
@@ -184,12 +205,14 @@ let persist_monotone t e =
   match t.media with
   | Newest _ as m -> persist_newest (newest_atomic m) e
   | Front _ as m -> persist_front t (front_atomic m) e
+  | Lost_strict | Lost_buffered -> ()
 
 (* The media dominates [e]: a write-back of [e] would be redundant. *)
 let media_covers t e =
   match t.media with
   | Newest _ as m -> dominates (Atomic.get (newest_atomic m)) e
   | Front _ as m -> covers e (Atomic.get (front_atomic m))
+  | Lost_strict | Lost_buffered -> false
 
 (** Test/recovery introspection: what would survive a crash right now
     (assuming pending write-backs are lost). *)
@@ -200,12 +223,7 @@ let persisted_entry t =
       if p.ver < 0 then None else Some p
   | Front _ as m -> (
       match Atomic.get (front_atomic m) with [] -> None | p :: _ -> Some p)
-
-(* Overwrite the media with exactly [e] (recovery only). *)
-let set_media t e =
-  match t.media with
-  | Newest _ as m -> Atomic.set (newest_atomic m) e
-  | Front _ as m -> Atomic.set (front_atomic m) [ e ]
+  | Lost_strict | Lost_buffered -> None
 
 (* Crash reset of the media: keep the newest entry of the durable cut and
    make it the coherent view, or mark the slot lost.  The durable cut:
@@ -217,7 +235,7 @@ let reset_media t =
   match t.media with
   | Newest _ as m ->
       let p = Atomic.get (newest_atomic m) in
-      if p.ver < 0 then t.lost <- true
+      if p.ver < 0 then t.media <- Lost_strict
       else Atomic.set (current_atomic t) p
   | Front _ as m -> (
       let cell = front_atomic m in
@@ -226,8 +244,7 @@ let reset_media t =
       let rolled_back = List.exists (fun p -> p.ep > de) hist in
       match List.filter (fun p -> p.ep <= de) hist with
       | [] ->
-          Atomic.set cell [];
-          t.lost <- true;
+          t.media <- Lost_buffered;
           if rolled_back && !Hooks.access_on then
             announce t Hooks.A_rollback ~seq:(-1)
       | p :: _ ->
@@ -235,9 +252,14 @@ let reset_media t =
           Atomic.set (current_atomic t) p;
           if rolled_back && !Hooks.access_on then
             announce t Hooks.A_rollback ~seq:p.ver)
+  | Lost_strict | Lost_buffered -> ()
 
-let make ?(persist = false) ?(charge_copy = false) ?(pair = -1)
-    ?(buffered = false) ?line region v =
+(* A slot's crash reset, registered with its region or line. *)
+let reset t ~persist_first =
+  if persist_first then persist_monotone t (Atomic.get (current_atomic t));
+  reset_media t
+
+let create ~persist ~charge_copy ~pair ~buffered line region v =
   (* buffered slots persist through the epoch clock, never through line
      write-backs: they take no line *)
   let line = if buffered then None else line in
@@ -246,6 +268,9 @@ let make ?(persist = false) ?(charge_copy = false) ?(pair = -1)
     {
       current = e;
       region;
+      media =
+        (if buffered then Front { front = (if persist then [ e ] else []) }
+         else Newest { newest = (if persist then e else unpersisted v) });
       uid = Atomic.fetch_and_add next_uid 1;
       pair;
       line;
@@ -253,32 +278,24 @@ let make ?(persist = false) ?(charge_copy = false) ?(pair = -1)
         (match line with
         | Some l -> Region.line_home l
         | None -> Hooks.tid ());
-      media =
-        (if buffered then Front { front = (if persist then [ e ] else []) }
-         else Newest { newest = (if persist then e else unpersisted v) });
-      lost = false;
     }
   in
-  let reset ~persist_first =
-    if persist_first then persist_monotone t (Atomic.get (current_atomic t));
-    reset_media t
-  in
   (match line with
-  | None -> Region.register_slot region reset
+  | None -> Region.register_slot region reset t
   | Some l ->
       (* line membership: the line's write-back persists this slot's
          current content; its crash reset shares the line's survival draw *)
       Region.line_add_member region l
         ~persist:(fun () -> persist_monotone t (Atomic.get (current_atomic t)))
-        ~reset);
+        ~reset t);
   let coalesced_birth =
-    charge_copy && persist
+    charge_copy
     &&
     match line with
     | Some l -> Region.line_in_flight region l
     | None -> false
   in
-  if charge_copy && persist then begin
+  if charge_copy then begin
     (* allocation-time copy to NVMM + clwb: the caller initialised this
        line durably, so bill the write and write-back here in the
        substrate (the ordering fence folds into the caller's next fence).
@@ -306,12 +323,24 @@ let make ?(persist = false) ?(charge_copy = false) ?(pair = -1)
     announce t Hooks.A_flush_coalesced ~seq:e.ver;
   t
 
+let make ?(persist = false) ?(buffered = false) ?line region v =
+  create ~persist ~charge_copy:false ~pair:(-1) ~buffered line region v
+
+(* The flags are labelled, not optional: every caller passes all three.
+   This also keeps a build without cross-module inlining (the dev
+   profile) from boxing each flag in an option per Mirror variable; a
+   release build would not box them either way. *)
+let make_replica ~pair ~buffered ~persist ?line region v =
+  create ~persist ~charge_copy:persist ~pair ~buffered line region v
+
 let check t =
   Region.check_up t.region;
-  if t.lost then
-    invalid_arg
-      "Mirror_nvm.Slot: reading a slot whose content was lost in a crash \
-       (never persisted): the recovery procedure reached unrecoverable data"
+  match t.media with
+  | Lost_strict | Lost_buffered ->
+      invalid_arg
+        "Mirror_nvm.Slot: reading a slot whose content was lost in a crash \
+         (never persisted): the recovery procedure reached unrecoverable data"
+  | Newest _ | Front _ -> ()
 
 (* NUMA accounting: a charged NVMM access whose memory is homed on another
    domain pays the remote-line surcharge.  With the knob at its default 0
@@ -459,6 +488,7 @@ let is_dirty t =
       match Atomic.get (front_atomic m) with
       | [] -> true
       | p :: _ -> p.ver < ver)
+  | Lost_strict | Lost_buffered -> true
 
 (* The elided write-back: free, counted as [flush_elided]. *)
 let elide t e =
@@ -566,13 +596,17 @@ let persist_deferred t =
 (** Recovery write: store + immediate durability, usable while the region
     is down (the recovery procedure is the only code running, and it
     persists everything it writes before normal operation resumes).  Also
-    heals a lost slot by overwriting its garbage. *)
+    heals a lost slot by overwriting its garbage: the media block is
+    rebuilt for the slot's own discipline. *)
 let recover_store t v =
   let cur = Atomic.get (current_atomic t) in
   let e = { v; ver = cur.ver + 1; ep = 0 } in
   Atomic.set (current_atomic t) e;
-  set_media t e;
-  t.lost <- false;
+  (match t.media with
+  | Newest _ as m -> Atomic.set (newest_atomic m) e
+  | Front _ as m -> Atomic.set (front_atomic m) [ e ]
+  | Lost_strict -> t.media <- Newest { newest = e }
+  | Lost_buffered -> t.media <- Front { front = [ e ] });
   if !Hooks.access_on then announce t Hooks.A_recovery_write ~seq:e.ver
 
 let persisted_value t = Option.map (fun e -> e.v) (persisted_entry t)
@@ -581,7 +615,7 @@ let persisted_value t = Option.map (fun e -> e.v) (persisted_entry t)
     persisted entry from a committed epoch (test/recovery introspection). *)
 let durable_value t =
   match t.media with
-  | Newest _ -> persisted_value t
+  | Newest _ | Lost_strict | Lost_buffered -> persisted_value t
   | Front _ as m -> (
       let de = Region.durable_epoch t.region in
       match List.filter (fun p -> p.ep <= de) (Atomic.get (front_atomic m)) with
@@ -592,12 +626,12 @@ let durable_value t =
 let peek_entry t = Atomic.get (current_atomic t)
 
 let peek t = (peek_entry t).v
-let is_lost t = t.lost
 
 let history_length t =
   match t.media with
   | Newest _ -> Option.fold ~none:0 ~some:(fun _ -> 1) (persisted_entry t)
   | Front _ as m -> List.length (Atomic.get (front_atomic m))
+  | Lost_strict | Lost_buffered -> 0
 
 let region t = t.region
 let uid t = t.uid

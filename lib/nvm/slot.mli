@@ -23,33 +23,34 @@ type 'a entry = private { v : 'a; ver : int; mutable ep : int }
 type 'a t
 
 val make :
-  ?persist:bool ->
-  ?charge_copy:bool ->
-  ?pair:int ->
-  ?buffered:bool ->
+  ?persist:bool -> ?buffered:bool -> ?line:Region.line -> Region.t -> 'a -> 'a t
+(** Fresh slot holding [v], owned by no Mirror pair ({!pair} is [-1]).
+    [persist] (default [false]) marks the initial value as already
+    durable — allocation-time persistence.  [line] carves the slot from a
+    cache line obtained via {!Region.place}/{!Region.place_near}:
+    line-mates share write-backs and crash fate (ignored on buffered
+    slots).  [buffered] (default [false]) puts the slot under the buffered
+    discipline: writes tag the region's open epoch and
+    {!persist_deferred} records into the epoch's deferred set; crash
+    recovery rolls the slot back to the newest write from a committed
+    epoch ([<= Region.durable_epoch]). *)
+
+val make_replica :
+  pair:int ->
+  buffered:bool ->
+  persist:bool ->
   ?line:Region.line ->
   Region.t ->
   'a ->
   'a t
-(** Fresh slot holding [v].  [persist] (default [false]) marks the initial
-    value as already durable — allocation-time persistence.  [charge_copy]
-    (default [false]; only meaningful with [persist]) additionally bills
-    the allocation-time copy to NVMM as one write + one flush in the
-    substrate's {!Stats}/{!Latency} accounting — callers that model "the
-    allocator wrote and wrote back this line before handing it out" use
-    this instead of mutating {!Stats} behind the substrate's back.  When
+(** The persistent replica of Mirror pair [pair]: as {!make}, and [pair]
+    is recorded for access-event attribution.  With [persist] the
+    allocation-time copy is also billed to NVMM as one write + one flush
+    in the substrate's {!Stats}/{!Latency} accounting — the pair's
+    allocator wrote and wrote back this line before handing it out.  When
     the birth line is already in flight the birth write-back coalesces:
-    it is billed as {!Stats.t.flush_coalesced} and rides the pending
-    line flush.  [pair] (default [-1]) records the uid of the Mirror
-    variable this slot is the persistent replica of, for access-event
-    attribution.  [line] carves the slot from a cache line obtained via
-    {!Region.place}/{!Region.place_near}: line-mates share write-backs
-    and crash fate (ignored on buffered slots).  [buffered] (default
-    [false]) puts the
-    slot under the buffered discipline: writes tag the region's open epoch
-    and {!persist_deferred} records into the epoch's deferred set; crash
-    recovery rolls the slot back to the newest write from a committed
-    epoch ([<= Region.durable_epoch]). *)
+    it is billed as {!Stats.t.flush_coalesced} and rides the pending line
+    flush. *)
 
 val load : 'a t -> 'a
 (** Load from NVMM, paying the NVMM read cost. *)
@@ -132,7 +133,12 @@ val peek_entry : 'a t -> 'a entry
 
 val is_lost : 'a t -> bool
 (** True after a crash hit this slot before anything was persisted; any
-    subsequent access is a detected use-of-garbage bug. *)
+    subsequent access is a detected use-of-garbage bug, until
+    {!recover_store} heals it. *)
+
+val buffered : 'a t -> bool
+(** Whether the slot is under the buffered discipline ([~buffered:true]
+    at {!make}); unchanged by a crash that loses the slot. *)
 
 val region : 'a t -> Region.t
 

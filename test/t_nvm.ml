@@ -66,18 +66,55 @@ let test_crash_eviction_policy () =
   Region.mark_recovered r;
   check (Slot.load s = 9) "eviction 1.0 keeps dirty data"
 
+let raises f =
+  try
+    f ();
+    false
+  with Invalid_argument _ -> true
+
+(* Under both disciplines a crash over a never-persisted slot leaves it
+   lost; every access raises until a recovery write heals it, and neither
+   state forgets the slot's discipline. *)
 let test_lost_slot_detection () =
-  let r = Support.fresh_region () in
-  let s = Slot.make ~persist:false r 42 in
-  Region.crash r;
-  Region.mark_recovered r;
-  check (Slot.is_lost s) "never-persisted slot is lost after crash";
-  check
-    (try
-       ignore (Slot.load s);
-       false
-     with Invalid_argument _ -> true)
-    "reading a lost slot is a detected bug"
+  List.iter
+    (fun buffered ->
+      let r = Support.fresh_region () in
+      let s = Slot.make ~persist:false ~buffered r 42 in
+      let d = if buffered then "buffered" else "strict" in
+      Region.crash r;
+      check (Slot.is_lost s)
+        (d ^ ": never-persisted slot is lost after crash");
+      check (Slot.buffered s = buffered)
+        (d ^ ": a lost slot keeps its discipline");
+      check (Slot.persisted_value s = None) (d ^ ": a lost slot has no media");
+      Slot.recover_store s 7;
+      Region.mark_recovered r;
+      check (not (Slot.is_lost s)) (d ^ ": a recovery write heals the slot");
+      check (Slot.buffered s = buffered)
+        (d ^ ": a healed slot keeps its discipline");
+      check (Slot.load s = 7 && Slot.persisted_value s = Some 7)
+        (d ^ ": the recovery write is current and durable");
+      Region.crash r;
+      Region.mark_recovered r;
+      check
+        ((not (Slot.is_lost s)) && Slot.load s = 7)
+        (d ^ ": the healed value survives a crash");
+      let s = Slot.make ~persist:false ~buffered r 42 in
+      Region.crash r;
+      Region.mark_recovered r;
+      check (Slot.is_lost s) (d ^ ": lost after recovery without a write");
+      List.iter
+        (fun (what, f) ->
+          check (raises f)
+            (Printf.sprintf "%s: %s of a lost slot raises" d what))
+        [
+          ("load", fun () -> ignore (Slot.load s));
+          ("store", fun () -> Slot.store s 1);
+          ("cas", fun () -> ignore (Slot.cas s ~expected:42 ~desired:1));
+          ("flush", fun () -> Slot.flush s);
+          ("deferred persist", fun () -> Slot.persist_deferred s);
+        ])
+    [ false; true ]
 
 let test_down_region_access () =
   let r = Support.fresh_region () in
@@ -142,7 +179,23 @@ let test_pending_count () =
   Slot.flush s2;
   check (Region.pending_count r = 2) "two pending write-backs";
   Region.fence r;
-  check (Region.pending_count r = 0) "fence drains pending"
+  check (Region.pending_count r = 0) "fence drains pending";
+  (* a fence and a crash both apply the pending set newest first, past
+     the set's initial capacity too: the crash policy's survival draws
+     depend on that order *)
+  let order = ref [] in
+  let record n = Region.add_pending r (fun () -> order := n :: !order) in
+  let drained_newest_first n =
+    List.rev !order = List.init n (fun i -> n - i)
+  in
+  List.iter record (List.init 20 succ);
+  Region.fence r;
+  check (drained_newest_first 20) "fence applies write-backs newest first";
+  order := [];
+  List.iter record (List.init 12 succ);
+  Region.crash ~policy:(Region.Eviction 1.0) r;
+  check (drained_newest_first 12) "crash applies write-backs newest first";
+  check (Region.pending_count r = 0) "crash drains pending"
 
 let test_latency_calibration () =
   Latency.set_enabled true;

@@ -359,14 +359,16 @@ let prop_crash_recover_idempotent =
 
 (* -- layout and field-0 atomicity ------------------------------------------ *)
 
+(* A strict variable is its record (5 words), its slot (8), the slot's
+   media block (2) and the shared entry (4). *)
 let test_layout () =
   let r = Support.fresh_region ~track:false () in
   let v = Patomic.make r 0 in
   let w = Support.own_words v r in
-  check (w <= 23) (Printf.sprintf "strict variable: %d words, at most 23" w);
+  check (w <= 19) (Printf.sprintf "strict variable: %d words, at most 19" w);
   let s = Mirror_nvm.Slot.make ~persist:true r 0 in
   let w = Support.own_words s r in
-  check (w <= 15) (Printf.sprintf "slot: %d words, at most 15" w)
+  check (w <= 14) (Printf.sprintf "slot: %d words, at most 14" w)
 
 (* Fails without allocating on the success path. *)
 let check_cas ok = if not ok then Alcotest.fail "an uncontended CAS failed"
@@ -382,8 +384,9 @@ let words_per_call n f =
   (Gc.minor_words () -. w0) /. float_of_int n
 
 (* One block per write: a successful strict CAS allocates its entry (4
-   words) plus the write-back thunk and pending cons the flush records (8
-   words) — no cell, no closure, no verdict tuple. *)
+   words) plus the write-back thunk the flush records (5 words; the
+   pending set stores it in an array cell) — no cell, no closure, no
+   verdict tuple. *)
 let test_cas_alloc () =
   let r = Support.fresh_region ~track:false () in
   let v = Patomic.make r 0 in
@@ -391,14 +394,44 @@ let test_cas_alloc () =
     words_per_call 100_000 (fun i ->
         check_cas (Patomic.cas v ~expected:i ~desired:(i + 1)))
   in
-  check (w <= 12.0)
-    (Printf.sprintf "strict Patomic.cas: %.2f minor words, at most 12" w);
+  check (w <= 9.0)
+    (Printf.sprintf "strict Patomic.cas: %.2f minor words, at most 9" w);
   let s = Mirror_nvm.Slot.make ~persist:true r 0 in
   let w =
     words_per_call 100_000 (fun i ->
         check_cas (Mirror_nvm.Slot.cas s ~expected:i ~desired:(i + 1)))
   in
   check (w <= 4.0) (Printf.sprintf "Slot.cas: %.2f minor words, at most 4" w)
+
+(* A strict make on an untracked region allocates the variable's four
+   blocks and nothing else: no crash-reset or invalidation closure is
+   built for a region that never crashes. *)
+let test_make_alloc () =
+  let r = Support.fresh_region ~track:false () in
+  let w = words_per_call 10_000 (fun i -> ignore (Patomic.make r i)) in
+  check (w <= 19.0)
+    (Printf.sprintf "strict Patomic.make: %.2f minor words, at most 19" w)
+
+(* A crash over a never-persisted variable loses its persistent replica;
+   the variable still reports its discipline, and recovering it is a
+   detected bug. *)
+let test_lost_replica_discipline () =
+  List.iter
+    (fun discipline ->
+      let r = Support.fresh_region () in
+      let v = Patomic.make ~persist:false ~discipline r 1 in
+      check (Patomic.discipline v = discipline) "discipline at birth";
+      Region.crash r;
+      check
+        (Patomic.discipline v = discipline)
+        "a lost variable keeps its discipline";
+      check
+        (try
+           Patomic.recover v;
+           false
+         with Invalid_argument _ -> true)
+        "recovering a lost variable is a detected bug")
+    [ Patomic.Strict; Patomic.Buffered ]
 
 (* Two real domains race on the in-record atomic fields: [repv] through
    [fetch_add], a slot's [current] through a CAS retry loop.  Every
@@ -458,6 +491,9 @@ let suite =
         Alcotest.test_case "layout: variable and slot words" `Quick
           test_layout;
         Alcotest.test_case "cas: minor words per call" `Quick test_cas_alloc;
+        Alcotest.test_case "make: minor words per call" `Quick test_make_alloc;
+        Alcotest.test_case "lost replica keeps its discipline" `Quick
+          test_lost_replica_discipline;
         Alcotest.test_case "field-0 atomics across two domains" `Quick
           test_two_domain_atomicity;
         QCheck_alcotest.to_alcotest prop_random_ops_keep_invariants;

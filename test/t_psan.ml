@@ -92,7 +92,9 @@ let test_v3_replica_band () =
     sanitized (fun () ->
         (* values equal the slot's versions, which are the sequence
            numbers announced for this fixture pair *)
-        let repp = Slot.make ~persist:true ~pair:7001 region 0 in
+        let repp =
+          Slot.make_replica ~pair:7001 ~buffered:false ~persist:true region 0
+        in
         let bump expected =
           ignore
             (Slot.cas_pred repp
