@@ -62,7 +62,7 @@ bench:
 # land next to the figure CSV for CI to archive.
 bench-smoke:
 	@mkdir -p $(ARTIFACTS)
-	dune exec bench/main.exe -- --smoke --no-micro --no-ablation \
+	dune exec bench/main.exe -- --smoke --no-ablation \
 	  --csv $(ARTIFACTS)/bench_smoke.csv --budget bench/budgets.csv
 
 # The KV benchmark's correctness check, CI-sized: one untraced repetition

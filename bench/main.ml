@@ -1,5 +1,5 @@
 (** Benchmark harness regenerating every panel of the paper's Figures 6 and
-    7, plus bechamel microbenchmarks of the primitive operations.
+    7.  Per-operation timings of the primitives live in perfbench's ladder.
 
     Usage:
       dune exec bench/main.exe                    # quick pass, all panels
@@ -7,7 +7,6 @@
       dune exec bench/main.exe -- --panels 6a,6c  # figure-panel subset
       dune exec bench/main.exe -- --smoke         # seconds-long CI pass
       dune exec bench/main.exe -- --csv out.csv   # also dump machine-readable rows
-      dune exec bench/main.exe -- --no-micro      # skip bechamel microbenches
 
     Output per row: measured Mops/s (domains timeshare the host's cores) and
     modeled Mops/s (deterministic memory-cost model, ideal scaling) plus the
@@ -488,66 +487,9 @@ let report_budgets verdicts =
     (Sys.getenv_opt "GITHUB_STEP_SUMMARY");
   List.for_all (fun v -> v.P.failed = 0) verdicts
 
-(* -- bechamel microbenchmarks --------------------------------------------------- *)
-
-let micro_tests () =
-  let open Bechamel in
-  let region = Mirror_nvm.Region.create ~track_slots:false () in
-  let prim_tests name =
-    let (module P : Mirror_prim.Prim.S) = Mirror_prim.Prim.by_name region name in
-    let v = P.make 0 in
-    let counter = P.make 0 in
-    [
-      Test.make ~name:(name ^ "/load") (Staged.stage (fun () -> P.load v));
-      Test.make ~name:(name ^ "/load-traversal")
-        (Staged.stage (fun () -> P.load_t v));
-      Test.make ~name:(name ^ "/store") (Staged.stage (fun () -> P.store v 1));
-      Test.make ~name:(name ^ "/fetch_add")
-        (Staged.stage (fun () -> ignore (P.fetch_add counter 1)));
-    ]
-  in
-  let ebr = Mirror_core.Ebr.create () in
-  let ebr_tests =
-    [
-      Bechamel.Test.make ~name:"ebr/enter-exit"
-        (Bechamel.Staged.stage (fun () ->
-             Mirror_core.Ebr.enter ebr;
-             Mirror_core.Ebr.exit ebr));
-    ]
-  in
-  Test.make_grouped ~name:"prims"
-    (List.concat_map prim_tests
-       [ "orig-dram"; "orig-nvmm"; "izraelevitz"; "nvtraverse"; "mirror"; "mirror-nvmm" ]
-    @ ebr_tests)
-
-let run_micro () =
-  let open Bechamel in
-  let open Toolkit in
-  print_endline "=== microbenchmarks (per-op wall time, latency model on) ===";
-  Mirror_nvm.Latency.set_enabled true;
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:(Some 100) ()
-  in
-  let raw = Benchmark.all cfg instances (micro_tests ()) in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let names = Hashtbl.fold (fun k _ acc -> k :: acc) results [] in
-  List.iter
-    (fun name ->
-      let ols_result = Hashtbl.find results name in
-      match Analyze.OLS.estimates ols_result with
-      | Some (est :: _) -> Printf.printf "%-40s %10.1f ns/op\n" name est
-      | _ -> Printf.printf "%-40s (no estimate)\n" name)
-    (List.sort compare names);
-  Mirror_nvm.Latency.set_enabled false;
-  print_newline ()
-
 (* -- command line ----------------------------------------------------------------- *)
 
-let main full smoke panels csv no_micro no_ablation seconds budget
+let main full smoke panels csv no_ablation seconds budget
     slots_per_line =
   (* flag vocabulary check first: unknown slots-per-line is a usage error
      (exit 2, same convention as an unknown structure name), not a failed
@@ -619,7 +561,6 @@ let main full smoke panels csv no_micro no_ablation seconds budget
     run_ablations ();
     run_extensions ()
   end;
-  if not no_micro then run_micro ();
   let budgets_ok =
     match budgets with
     | None -> true
@@ -657,9 +598,6 @@ let csv =
         ~doc:
           "Write the figure rows to $(docv) and each side panel to \
            <$(docv) base>_<panel>.csv.")
-
-let no_micro =
-  Arg.(value & flag & info [ "no-micro" ] ~doc:"Skip bechamel microbenchmarks.")
 
 let no_ablation =
   Arg.(value & flag & info [ "no-ablation" ] ~doc:"Skip the ablation studies.")
@@ -699,7 +637,7 @@ let cmd =
   Cmd.v
     (Cmd.info "mirror-bench" ~doc)
     Term.(
-      const main $ full $ smoke $ panels $ csv $ no_micro $ no_ablation
+      const main $ full $ smoke $ panels $ csv $ no_ablation
       $ seconds $ budget $ slots_per_line)
 
 let () = exit (Cmd.eval cmd)

@@ -274,20 +274,21 @@ let cas t ~expected ~desired = witness t ~expected ~desired == expected
 (** [store] and [fetch_add] loop over CAS until success (paper §4.1.2).
     Retries are driven by the witness value — the value found in memory by
     the failed attempt — instead of a fresh charged [read_repv] per
-    iteration. *)
+    iteration.  The loop is seeded by {!load}, so a variable recovery did
+    not reach is refused by [check] before anything is charged. *)
 let store t v =
   let rec go expected =
     let w = witness t ~expected ~desired:v in
     if w != expected then go w
   in
-  go (read_repv t).v
+  go (load t)
 
 let fetch_add (t : int t) (d : int) : int =
   let rec go expected =
     let w = witness t ~expected ~desired:(expected + d) in
     if w == expected then expected else go w
   in
-  go (read_repv t).v
+  go (load t)
 
 (* -- recovery ------------------------------------------------------------ *)
 

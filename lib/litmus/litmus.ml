@@ -9,12 +9,10 @@
       {!Mirror_mcheck.Mcheck.record}).
 
     - {b Crash replays.}  Each complete schedule is re-executed once per
-      crash point with {!Mirror_schedsim.Sched.run_replay}[ ~strict:true]
+      crash point with {!Mirror_mcheck.Mcheck.crash_replay}[ ~strict:true]
       — a replay that runs past the recorded picks is diverging and must
-      fail loudly, not silently explore a different interleaving.  The
-      counting hook raises {!Mirror_schedsim.Sched.Killed} just before the
-      crash point's event takes effect, the [stop] poll discontinues every
-      other fiber, and recovery runs on the cut state.
+      fail loudly, not silently explore a different interleaving — and
+      recovery runs on the cut state.
 
     - {b Determinism.}  The adversarial crash policy (only fenced
       write-backs survive) keeps every replay deterministic; probabilistic
@@ -94,20 +92,8 @@ let set_to_string os =
    event [crash_at], recover, observe. *)
 let durable_at (t : t) ~picks ~crash_at : obs =
   let p = t.mk () in
-  let count = ref 0 and crashed = ref false in
-  let hook (_ : Hooks.persist_event) =
-    if not !crashed then
-      if !count = crash_at then begin
-        crashed := true;
-        raise Sched.Killed
-      end
-      else incr count
-  in
-  let (_ : Sched.outcome) =
-    Hooks.with_persist hook (fun () ->
-        Sched.run_replay ~strict:true ~picks
-          ~stop:(fun () -> !crashed)
-          p.tasks)
+  let (_ : bool) =
+    Mirror_mcheck.Mcheck.crash_replay ~strict:true ~picks ~crash_at p.tasks
   in
   p.crash_recover ();
   p.observe_durable ()

@@ -106,9 +106,7 @@ let crash_points ?(deep = false) (events : Hooks.persist_event array) :
 
 (* -- crashed replay ----------------------------------------------------------- *)
 
-let run_crash_at (scenario : scenario) ~seed ~picks ~crash_at :
-    Mirror_harness.Durable.violation list * bool =
-  let inst = scenario ~seed in
+let crash_replay ?strict ~picks ~crash_at tasks =
   let count = ref 0 in
   let crashed = ref false in
   let hook (_ : Hooks.persist_event) =
@@ -123,10 +121,22 @@ let run_crash_at (scenario : scenario) ~seed ~picks ~crash_at :
   in
   let (_ : Sched.outcome) =
     Hooks.with_persist hook (fun () ->
-        Sched.run_replay ~picks ~stop:(fun () -> !crashed) inst.tasks)
+        Sched.run_replay ?strict ~picks ~stop:(fun () -> !crashed) tasks)
   in
+  !crashed
+
+(* A fresh instance replayed up to the crash at [crash_at] and left down;
+   the caller drives recovery.  Non-strict: shrunk traces rely on the
+   pick-0 padding. *)
+let run_to_crash (scenario : scenario) ~seed ~picks ~crash_at =
+  let inst = scenario ~seed in
+  (inst, crash_replay ~picks ~crash_at inst.tasks)
+
+let run_crash_at (scenario : scenario) ~seed ~picks ~crash_at :
+    Mirror_harness.Durable.violation list * bool =
+  let inst, crashed = run_to_crash scenario ~seed ~picks ~crash_at in
   inst.crash_recover ();
-  (inst.validate (), !crashed)
+  (inst.validate (), crashed)
 
 (* -- counterexamples ---------------------------------------------------------- *)
 
@@ -389,33 +399,12 @@ let psan_pass ?(buffered = false) (scenario : scenario) ~seed :
 
 exception Killed_in_recovery
 
-(* Replay the recorded schedule over a fresh instance and crash at
-   [crash_at], exactly as [run_crash_at] does, but return the instance
-   still down — the caller drives recovery itself. *)
-let run_to_crash (scenario : scenario) ~seed ~picks ~crash_at =
-  let inst = scenario ~seed in
-  let count = ref 0 in
-  let crashed = ref false in
-  let hook (_ : Hooks.persist_event) =
-    if not !crashed then
-      if !count = crash_at then begin
-        crashed := true;
-        raise Sched.Killed
-      end
-      else incr count
-  in
-  let (_ : Sched.outcome) =
-    Hooks.with_persist hook (fun () ->
-        Sched.run_replay ~picks ~stop:(fun () -> !crashed) inst.tasks)
-  in
-  inst
-
 (* Count the recovery points of one full recovery at [crash_at]: every
    {!Hooks.recovery_point} the instance's recovery procedure fires
    (R_begin, one R_trace per variable restored, R_done, plus any heap
    phase points). *)
 let count_recovery_points (scenario : scenario) ~seed ~picks ~crash_at =
-  let inst = run_to_crash scenario ~seed ~picks ~crash_at in
+  let inst, _ = run_to_crash scenario ~seed ~picks ~crash_at in
   let n = ref 0 in
   Hooks.with_recovery_hook (fun _ -> incr n) inst.crash_recover;
   !n
@@ -423,7 +412,7 @@ let count_recovery_points (scenario : scenario) ~seed ~picks ~crash_at =
 let run_crash_in_recovery (scenario : scenario) ~seed ~picks ~crash_at
     ~rec_at ~trust_partial :
     Mirror_harness.Durable.violation list * string * bool =
-  let inst = run_to_crash scenario ~seed ~picks ~crash_at in
+  let inst, _ = run_to_crash scenario ~seed ~picks ~crash_at in
   (* first recovery attempt, killed just before recovery point [rec_at] *)
   let count = ref 0 in
   let killed = ref false in

@@ -50,6 +50,18 @@ val crash_points : ?deep:bool -> Mirror_nvm.Hooks.persist_event array -> int lis
     the crash after the run has quiesced.  [deep] additionally includes
     every plain NVMM write.  Ascending. *)
 
+val crash_replay :
+  ?strict:bool -> picks:int array -> crash_at:int -> (unit -> unit) list ->
+  bool
+(** Replay [picks] over [tasks] ({!Mirror_schedsim.Sched.run_replay}) and
+    pull the plug just before persist event number [crash_at] takes effect:
+    the fiber announcing it dies with {!Mirror_schedsim.Sched.Killed} and
+    every other live fiber is cut at the next decision.  Returns whether
+    the crash fired ([false]: the run completed first).  Recovery is the
+    caller's, and so is strictness: {!run_crash_at} replays non-strictly
+    (shrunk traces rely on the pick-0 padding), the litmus runner
+    strictly. *)
+
 val run_crash_at :
   scenario ->
   seed:int ->

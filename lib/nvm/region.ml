@@ -85,18 +85,18 @@ type t = {
   mutable volatile_invalidators : (unit -> unit) list;
   mutex : Mutex.t;
   mutable down : bool;
-  mutable track_slots : bool;
+  track_slots : bool;
       (** benches disable registration: they never crash and must not retain
           every node ever allocated *)
   mutable domain_pending : pending list;
       (** every domain's pending write-back set for this region, for crash
           processing and introspection; each set is only mutated by its
           owning domain *)
-  mutable elide : bool;
+  elide : bool;
       (** flush/fence elision mode: skip (and count as elided) flushes of
           clean lines and fences with nothing pending *)
   rng : Random.State.t;
-  mutable runtime_evict_prob : float;
+  runtime_evict_prob : float;
   mutable crashes : int;
   mutable recovery_epoch : int;
       (** persistent recovery-progress slot (recovery-write semantics: every
@@ -115,7 +115,7 @@ type t = {
   mutable last_interrupted : bool;
       (** what the session's first {!begin_recovery} found (introspection) *)
   (* -- buffered persistence (the epoch clock) -- *)
-  mutable epoch_len : int;
+  epoch_len : int;
       (** deferred persists per epoch; [1] makes every buffered persist
           advance immediately (strict-equivalent costs) *)
   mutable cur_epoch : int;  (** the open epoch; buffered writes tag with it *)
@@ -170,7 +170,6 @@ let create ?(track_slots = true) ?(runtime_evict_prob = 0.0) ?(seed = 0xC0FFEE)
 
 let is_down t = t.down
 let crash_count t = t.crashes
-let set_elide t b = t.elide <- b
 let elision t = t.elide
 let id t = t.id
 let slots_per_line t = t.slots_per_line
@@ -459,10 +458,6 @@ let my_deferred t =
 let cur_epoch t = t.cur_epoch
 let durable_epoch t = t.durable_epoch
 let epoch_len t = t.epoch_len
-
-let set_epoch_len t n =
-  if n < 1 then invalid_arg "Mirror_nvm.Region.set_epoch_len: n < 1";
-  t.epoch_len <- n
 
 let deferred_count t =
   Mutex.lock t.mutex;

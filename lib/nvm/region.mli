@@ -55,9 +55,6 @@ val id : t -> int
 
 val crash_count : t -> int
 
-val set_elide : t -> bool -> unit
-(** Toggle flush/fence elision at run time. *)
-
 val elision : t -> bool
 (** Whether elision mode is on. *)
 
@@ -168,8 +165,7 @@ val durable_epoch : t -> int
     survives any crash.  Starts at [0]; survives crashes. *)
 
 val epoch_len : t -> int
-val set_epoch_len : t -> int -> unit
-(** Deferred persists per epoch. @raise Invalid_argument when [< 1]. *)
+(** Deferred persists per epoch, fixed at {!create}. *)
 
 val deferred_count : t -> int
 (** Deferred records not yet committed, across all domains

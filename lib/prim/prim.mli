@@ -84,9 +84,9 @@ module Mirror_buffered (_ : REGION) : S
 (** Mirror under buffered durable linearizability: persists are recorded
     into the region's epoch clock instead of flushing on the hot path; the
     epoch advancer batches one fence per epoch, and recovery restores the
-    last committed epoch.  Epoch length comes from the region
-    ({!Mirror_nvm.Region.set_epoch_len}); at the default length 1 the
-    charged costs equal strict Mirror's exactly. *)
+    last committed epoch.  Epoch length is fixed when the region is made
+    ([~epoch_len] of {!Mirror_nvm.Region.create}); at the default length 1
+    the charged costs equal strict Mirror's exactly. *)
 
 val all_for : Mirror_nvm.Region.t -> pack list
 (** All seven strategies over one region, for harness enumeration. *)

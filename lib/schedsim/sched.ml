@@ -26,20 +26,27 @@ type outcome = {
   completed : bool;  (** all tasks ran to completion (no crash cut) *)
 }
 
-(** [run_with_picker ~pick ~max_steps tasks] drives [tasks] to completion or
-    until [max_steps] scheduling points, whichever comes first.  [pick n]
-    chooses which of the [n] currently runnable threads steps next.  When the
-    step budget is hit — or [stop ()] turns true, e.g. because a crash-point
-    hook fired inside the running fiber — all live fibers are discontinued
-    with {!Killed}: the system "crashes" with those operations cut
-    mid-flight. *)
-let run_with_picker ~(pick : int -> int) ?(max_steps = max_int)
+let index_of x xs =
+  let rec go i = function
+    | [] -> invalid_arg "Sched.index_of: not runnable"
+    | y :: rest -> if y = x then i else go (i + 1) rest
+  in
+  go 0 xs
+
+(* The one fiber engine every scheduler below drives.  [pick ids] sees the
+   runnable thread ids, in runnable-list order, and returns the index of
+   the one to step next, or [None] to cut the run there.  The cut — asked
+   for by the picker, by the step budget, or by [stop ()] — discontinues
+   every live fiber with {!Killed}: the system "crashes" with those
+   operations cut mid-flight, and their [Fun.protect] finalizers run.
+
+   Fibers are tagged with their task index, which doubles as the logical
+   thread id announced on access events ({!Mirror_nvm.Hooks.tid}): the
+   sanitizer needs to know which logical thread performed each step, not
+   which OS domain (all fibers share one).  The tag rides along without
+   affecting list order, so recorded schedules replay unchanged. *)
+let drive ~(pick : int list -> int option) ?(max_steps = max_int)
     ?(stop = fun () -> false) (tasks : (unit -> unit) list) : outcome =
-  (* Fibers are tagged with their task index, which doubles as the logical
-     thread id announced on access events ({!Mirror_nvm.Hooks.tid}): the
-     sanitizer needs to know which logical thread performed each step, not
-     which OS domain (all fibers share one).  The tag rides along without
-     affecting list order, so recorded schedules replay unchanged. *)
   let runnable : (int * runnable) list ref =
     ref (List.mapi (fun i t -> (i, Start t)) tasks)
   in
@@ -77,39 +84,55 @@ let run_with_picker ~(pick : int -> int) ?(max_steps = max_int)
     | Start t -> Effect.Deep.match_with t () (handler_for id)
     | Resume k -> Effect.Deep.continue k ()
   in
-  let yield_hook () = Effect.perform Yield in
-  Mirror_nvm.Hooks.with_yield yield_hook (fun () ->
+  (* cut every live fiber where it stands *)
+  let cut live =
+    List.iter
+      (function
+        | _, Start _ -> ()
+        | id, Resume k ->
+            current := id;
+            Effect.Deep.discontinue k Killed)
+      live;
+    runnable := []
+  in
+  let rec loop () =
+    match !runnable with
+    | [] -> true
+    | live -> (
+        let choice =
+          if !steps >= max_steps || stop () then None
+          else pick (List.map fst live)
+        in
+        match choice with
+        | None ->
+            cut live;
+            false
+        | Some i ->
+            incr steps;
+            step (take i);
+            loop ())
+  in
+  Mirror_nvm.Hooks.with_yield
+    (fun () -> Effect.perform Yield)
+    (fun () ->
       Mirror_nvm.Hooks.with_tid
-        (fun () -> if !current >= 0 then !current else Mirror_nvm.Hooks.default_tid ())
         (fun () ->
-          let crashed = ref false in
-          while !runnable <> [] && not !crashed do
-            if !steps >= max_steps || stop () then begin
-              crashed := true;
-              (* cut every live fiber where it stands *)
-              List.iter
-                (function
-                  | _, Start _ -> ()
-                  | id, Resume k ->
-                      current := id;
-                      Effect.Deep.discontinue k Killed)
-                !runnable;
-              runnable := []
-            end
-            else begin
-              incr steps;
-              let n = List.length !runnable in
-              let i = pick n in
-              let i = if i < 0 || i >= n then 0 else i in
-              step (take i)
-            end
-          done;
-          { steps = !steps; completed = not !crashed }))
+          if !current >= 0 then !current else Mirror_nvm.Hooks.default_tid ())
+        (fun () ->
+          let completed = loop () in
+          { steps = !steps; completed }))
 
-(** Random scheduling from a seed. *)
-let run ?(seed = 1) ?max_steps tasks =
-  let rng = Random.State.make [| seed |] in
-  run_with_picker ~pick:(fun n -> Random.State.int rng n) ?max_steps tasks
+(** [run_with_picker ~pick ~max_steps tasks] drives [tasks] to completion or
+    until [max_steps] scheduling points, whichever comes first.  [pick n]
+    chooses which of the [n] currently runnable threads steps next; an
+    out-of-range choice is clamped to 0.  When the step budget is hit — or
+    [stop ()] turns true, e.g. because a crash-point hook fired inside the
+    running fiber — all live fibers are discontinued with {!Killed}. *)
+let run_with_picker ~(pick : int -> int) ?max_steps ?stop tasks : outcome =
+  drive ?max_steps ?stop tasks ~pick:(fun ids ->
+      let n = List.length ids in
+      let i = pick n in
+      Some (if i < 0 || i >= n then 0 else i))
 
 (* -- recordable / replayable schedules ------------------------------------ *)
 
@@ -129,6 +152,9 @@ let run_recorded ?(seed = 1) ?max_steps ?stop (tasks : (unit -> unit) list) :
   in
   let outcome = run_with_picker ~pick ?max_steps ?stop tasks in
   (outcome, Array.of_list (List.rev !picks))
+
+(** Random scheduling from a seed. *)
+let run ?seed ?max_steps tasks = fst (run_recorded ?seed ?max_steps tasks)
 
 exception Replay_exhausted of int
 
@@ -175,10 +201,10 @@ let explore ?(seeds = 200) (factory : unit -> (unit -> unit) list * (unit -> uni
     For a bug of preemption depth d, a run finds it with probability
     >= 1/(n * k^(d-1)) — far better than uniform random for deep races.
 
-    Fibers are tagged with their task index so priorities can follow them
-    across preemptions. *)
-let run_pct ?(seed = 1) ?(depth = 3) ?(expected_steps = 2_000)
-    ?(max_steps = max_int) (tasks : (unit -> unit) list) : outcome =
+    A picker over {!drive}: priorities follow the thread ids across
+    preemptions. *)
+let run_pct ?(seed = 1) ?(depth = 3) ?(expected_steps = 2_000) ?max_steps
+    (tasks : (unit -> unit) list) : outcome =
   let n = List.length tasks in
   let rng = Random.State.make [| seed |] in
   (* distinct base priorities: a random permutation of n..1, plus change
@@ -202,65 +228,19 @@ let run_pct ?(seed = 1) ?(depth = 3) ?(expected_steps = 2_000)
     next_low := !next_low -. 1.;
     !next_low
   in
-  let runnable : (int * runnable) list ref =
-    ref (List.mapi (fun i t -> (i, Start t)) tasks)
-  in
   let steps = ref 0 in
-  let current = ref (-1) in
-  let handler_for id : (unit, unit) Effect.Deep.handler =
-    {
-      retc = (fun () -> ());
-      exnc = (fun e -> match e with Killed -> () | e -> raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Yield ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  runnable := (id, Resume k) :: !runnable)
-          | _ -> None);
-    }
+  let pick ids =
+    incr steps;
+    (* the highest-priority runnable thread *)
+    let id =
+      List.fold_left
+        (fun b i -> if prio.(i) > prio.(b) then i else b)
+        (List.hd ids) ids
+    in
+    if List.mem !steps change_points then prio.(id) <- low ();
+    Some (index_of id ids)
   in
-  let step id r =
-    current := id;
-    match r with
-    | Start t -> Effect.Deep.match_with t () (handler_for id)
-    | Resume k -> Effect.Deep.continue k ()
-  in
-  Mirror_nvm.Hooks.with_yield (fun () -> Effect.perform Yield) (fun () ->
-      Mirror_nvm.Hooks.with_tid
-        (fun () ->
-          if !current >= 0 then !current else Mirror_nvm.Hooks.default_tid ())
-        (fun () ->
-          let crashed = ref false in
-          while !runnable <> [] && not !crashed do
-            if !steps >= max_steps then begin
-              crashed := true;
-              List.iter
-                (function
-                  | _, Start _ -> ()
-                  | id, Resume k ->
-                      current := id;
-                      Effect.Deep.discontinue k Killed)
-                !runnable;
-              runnable := []
-            end
-            else begin
-              incr steps;
-              (* pick the highest-priority runnable fiber *)
-              let id, r =
-                List.fold_left
-                  (fun (bi, br) (i, r) ->
-                    if prio.(i) > prio.(bi) then (i, r) else (bi, br))
-                  (List.hd !runnable |> fun (i, r) -> (i, r))
-                  (List.tl !runnable)
-              in
-              runnable := List.filter (fun (i, _) -> not (i = id)) !runnable;
-              if List.mem !steps change_points then prio.(id) <- low ();
-              step id r
-            end
-          done;
-          { steps = !steps; completed = not !crashed }))
+  drive ~pick ?max_steps tasks
 
 (** Bounded-exhaustive exploration: depth-first over the tree of scheduling
     choices, visiting at most [limit] complete schedules.  Returns the number
@@ -481,175 +461,113 @@ let explore_dpor ?(limit = 10_000) ?(max_steps = 2_000)
       Array.make max_steps None
     in
     let picks = Array.make max_steps 0 in
-    let complete = ref false and slept = ref false in
-    let cut = ref false in
-    let exec_depth = ref 0 in
-    Mirror_nvm.Hooks.with_access access_hook (fun () ->
-        let tasks, check = factory () in
-        let runnable : (int * runnable) list ref =
-          ref (List.mapi (fun i t -> (i, Start t)) tasks)
-        in
-        let current = ref (-1) in
-        let take i =
-          let rec go k acc = function
-            | [] -> assert false
-            | x :: rest ->
-                if k = i then begin
-                  runnable := List.rev_append acc rest;
-                  x
-                end
-                else go (k + 1) (x :: acc) rest
+    let depth, complete =
+      Mirror_nvm.Hooks.with_access access_hook (fun () ->
+          let tasks, check = factory () in
+          let d = ref 0 in
+          let last_fp : footprint ref = ref [] in
+          (* the node whose chosen step is running; its footprint is closed
+             at the next decision or when the run ends — nothing runs in
+             between *)
+          let stepping : dpor_node option ref = ref None in
+          let close () =
+            match !stepping with
+            | None -> ()
+            | Some node ->
+                stepping := None;
+                recording := false;
+                let fp = !cur_atoms in
+                node.n_fp <- fp;
+                trace.(!d) <- Some (node, node.n_chosen, fp);
+                last_fp := fp;
+                incr d;
+                if !d > !max_depth then max_depth := !d
           in
-          go 0 [] !runnable
-        in
-        let handler_for id : (unit, unit) Effect.Deep.handler =
-          {
-            retc = (fun () -> ());
-            exnc = (fun e -> match e with Killed -> () | e -> raise e);
-            effc =
-              (fun (type a) (eff : a Effect.t) ->
-                match eff with
-                | Yield ->
-                    Some
-                      (fun (k : (a, unit) Effect.Deep.continuation) ->
-                        runnable := (id, Resume k) :: !runnable)
-                | _ -> None);
-          }
-        in
-        let step (id, r) =
-          current := id;
-          match r with
-          | Start t -> Effect.Deep.match_with t () (handler_for id)
-          | Resume k -> Effect.Deep.continue k ()
-        in
-        let kill_all () =
-          List.iter
-            (function
-              | _, Start _ -> ()
-              | id, Resume k ->
-                  current := id;
-                  Effect.Deep.discontinue k Killed)
-            !runnable;
-          runnable := []
-        in
-        let d = ref 0 in
-        let last_fp : footprint ref = ref [] in
-        Mirror_nvm.Hooks.with_yield
-          (fun () -> Effect.perform Yield)
-          (fun () ->
-            Mirror_nvm.Hooks.with_tid
-              (fun () ->
-                if !current >= 0 then !current
-                else Mirror_nvm.Hooks.default_tid ())
-              (fun () ->
-                let running = ref true in
-                while !running && !runnable <> [] do
-                  if !d >= max_steps then begin
-                    truncated := true;
-                    cut := true;
-                    kill_all ()
-                  end
-                  else begin
-                    let enabled = List.map fst !runnable in
-                    let node =
-                      if !d < !stack_len then begin
-                        let n = node_at !d in
-                        if n.n_enabled <> enabled then
-                          invalid_arg
-                            "Sched.explore_dpor: factory is not deterministic \
-                             (enabled sets differ under an identical prefix)";
-                        n
-                      end
-                      else begin
-                        let sleep =
-                          if !d = 0 then []
-                          else
-                            let parent = node_at (!d - 1) in
-                            let live (_, f) =
-                              not (footprints_conflict f !last_fp)
-                            in
-                            List.filter live (parent.n_sleep @ parent.n_done)
-                        in
-                        let asleep t = List.mem_assoc t sleep in
-                        let cands =
-                          List.filter (fun t -> not (asleep t)) enabled
-                        in
-                        let chosen =
-                          match cands with [] -> -1 | t :: _ -> t
-                        in
-                        let bt = if chosen >= 0 then [ chosen ] else [] in
-                        let n =
-                          {
-                            n_enabled = enabled;
-                            n_chosen = chosen;
-                            n_done = [];
-                            n_backtrack = bt;
-                            n_sleep = sleep;
-                            n_fp = [];
-                          }
-                        in
-                        push n;
-                        n
-                      end
-                    in
-                    if node.n_chosen < 0 then begin
-                      (* every enabled thread is asleep: redundant execution *)
-                      slept := true;
-                      incr pruned;
-                      kill_all ()
-                    end
-                    else begin
-                      let idx =
-                        let rec find i = function
-                          | [] -> assert false
-                          | (t, _) :: rest ->
-                              if t = node.n_chosen then i else find (i + 1) rest
-                        in
-                        find 0 !runnable
-                      in
-                      picks.(!d) <- idx;
-                      cur_atoms := [];
-                      recording := true;
-                      step (take idx);
-                      recording := false;
-                      let fp = !cur_atoms in
-                      node.n_fp <- fp;
-                      trace.(!d) <- Some (node, node.n_chosen, fp);
-                      last_fp := fp;
-                      incr d;
-                      if !d > !max_depth then max_depth := !d
-                    end
-                  end;
-                  if !runnable = [] then running := false
-                done));
-        let depth = !d in
-        exec_depth := depth;
-        if (not !slept) && not !cut then begin
-          complete := true;
-          check ()
-        end;
-        let tr i = match trace.(i) with Some x -> x | None -> assert false in
-        (* ---- backtrack analysis over the executed trace ---- *)
-        for i = 1 to depth - 1 do
-          let _, ti, fi = tr i in
-          for j = 0 to i - 1 do
-            let nj, tj, fj = tr j in
-            if ti <> tj && footprints_conflict fj fi then
-              if List.mem ti nj.n_enabled then begin
-                if not (List.mem ti nj.n_backtrack) then
-                  nj.n_backtrack <- ti :: nj.n_backtrack
+          let pick enabled =
+            close ();
+            if !d >= max_steps then begin
+              truncated := true;
+              None
+            end
+            else begin
+              let node =
+                if !d < !stack_len then begin
+                  let n = node_at !d in
+                  if n.n_enabled <> enabled then
+                    invalid_arg
+                      "Sched.explore_dpor: factory is not deterministic \
+                       (enabled sets differ under an identical prefix)";
+                  n
+                end
+                else begin
+                  let sleep =
+                    if !d = 0 then []
+                    else
+                      let parent = node_at (!d - 1) in
+                      let live (_, f) = not (footprints_conflict f !last_fp) in
+                      List.filter live (parent.n_sleep @ parent.n_done)
+                  in
+                  let asleep t = List.mem_assoc t sleep in
+                  let cands = List.filter (fun t -> not (asleep t)) enabled in
+                  let chosen = match cands with [] -> -1 | t :: _ -> t in
+                  let bt = if chosen >= 0 then [ chosen ] else [] in
+                  let n =
+                    {
+                      n_enabled = enabled;
+                      n_chosen = chosen;
+                      n_done = [];
+                      n_backtrack = bt;
+                      n_sleep = sleep;
+                      n_fp = [];
+                    }
+                  in
+                  push n;
+                  n
+                end
+              in
+              if node.n_chosen < 0 then begin
+                (* every enabled thread is asleep: redundant execution *)
+                incr pruned;
+                None
               end
-              else
-                List.iter
-                  (fun t ->
-                    if not (List.mem t nj.n_backtrack) then
-                      nj.n_backtrack <- t :: nj.n_backtrack)
-                  nj.n_enabled
-          done
-        done);
-    if !complete then begin
+              else begin
+                let idx = index_of node.n_chosen enabled in
+                picks.(!d) <- idx;
+                cur_atoms := [];
+                recording := true;
+                stepping := Some node;
+                Some idx
+              end
+            end
+          in
+          let o = drive ~pick tasks in
+          close ();
+          let depth = !d in
+          if o.completed then check ();
+          let tr i = match trace.(i) with Some x -> x | None -> assert false in
+          (* ---- backtrack analysis over the executed trace ---- *)
+          for i = 1 to depth - 1 do
+            let _, ti, fi = tr i in
+            for j = 0 to i - 1 do
+              let nj, tj, fj = tr j in
+              if ti <> tj && footprints_conflict fj fi then
+                if List.mem ti nj.n_enabled then begin
+                  if not (List.mem ti nj.n_backtrack) then
+                    nj.n_backtrack <- ti :: nj.n_backtrack
+                end
+                else
+                  List.iter
+                    (fun t ->
+                      if not (List.mem t nj.n_backtrack) then
+                        nj.n_backtrack <- t :: nj.n_backtrack)
+                    nj.n_enabled
+            done
+          done;
+          (depth, o.completed))
+    in
+    if complete then begin
       incr schedules;
-      if not (on_schedule ~picks:(Array.sub picks 0 !exec_depth)) then
+      if not (on_schedule ~picks:(Array.sub picks 0 depth)) then
         stopped := true
     end;
     (* ---- pop: advance the deepest node with an unexplored branch ---- *)

@@ -70,6 +70,33 @@ let test_unrecovered_access_detected () =
      with Invalid_argument _ -> true)
     "untraced variable access is a detected bug"
 
+(* A refused write charges nothing: [store] and [fetch_add] on a variable
+   recovery did not reach raise before reading the volatile replica, as a
+   refused [load] does. *)
+let test_refused_write_charges_nothing () =
+  let r = Support.fresh_region () in
+  let a = Patomic.make r 1 in
+  let b = Patomic.make r 2 in
+  Region.crash r;
+  Patomic.recover a;
+  Region.mark_recovered r;
+  let refused name f =
+    let s = Mirror_nvm.Stats.get () in
+    Mirror_nvm.Stats.clear s;
+    check
+      (try
+         f ();
+         false
+       with Invalid_argument _ -> true)
+      (name ^ " on an unrecovered variable is refused");
+    Alcotest.(check int) (name ^ ": no DRAM read charged") 0
+      s.Mirror_nvm.Stats.dram_read;
+    Alcotest.(check int) (name ^ ": no NVM read charged") 0
+      s.Mirror_nvm.Stats.nvm_read
+  in
+  refused "store" (fun () -> Patomic.store b 3);
+  refused "fetch_add" (fun () -> ignore (Patomic.fetch_add b 1))
+
 (* -- the Figure 3 scenario -------------------------------------------------- *)
 
 (* p1 writes 10, p2 writes 5 again.  Without sequence numbers p1's stale
@@ -475,6 +502,8 @@ let suite =
           test_crash_recover_quiesced;
         Alcotest.test_case "unrecovered access detected" `Quick
           test_unrecovered_access_detected;
+        Alcotest.test_case "refused write charges nothing" `Quick
+          test_refused_write_charges_nothing;
         Alcotest.test_case "figure 3: no resurrection" `Quick
           test_figure3_no_resurrection;
         Alcotest.test_case "register linearizability (random)" `Quick

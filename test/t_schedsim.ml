@@ -268,6 +268,40 @@ let test_pct_beats_random_on_block_bug () =
     (not (List.exists (bug_hit rnd) seeds))
     "uniform random misses it at the same seed budget"
 
+(* PCT's exact order, pinned: three tasks of seven steps each, the id of the
+   stepping task logged at every step.  Any change to its priority
+   permutation, change points or tie-breaking, or to the runnable-list
+   order the engine hands it, changes these strings. *)
+let test_pct_schedule_pinned () =
+  let schedule seed =
+    let log = Buffer.create 21 in
+    let task id () =
+      for _ = 1 to 6 do
+        Buffer.add_string log (string_of_int id);
+        Mirror_nvm.Hooks.yield ()
+      done;
+      Buffer.add_string log (string_of_int id)
+    in
+    let o =
+      Sched.run_pct ~seed ~depth:3 ~expected_steps:20 [ task 0; task 1; task 2 ]
+    in
+    check (o.Sched.completed && o.Sched.steps = 21) "pct runs every step";
+    Buffer.contents log
+  in
+  List.iteri
+    (fun i expected ->
+      let seed = i + 1 in
+      Alcotest.(check string)
+        (Printf.sprintf "pct schedule, seed %d" seed)
+        expected (schedule seed))
+    [
+      "222000000011222211111";
+      "222222211111110000000";
+      "222222211111110000000";
+      "222222200000001111111";
+      "222222211101111000000";
+    ]
+
 (* -- sleep-set DPOR -------------------------------------------------------- *)
 
 module Slot = Mirror_nvm.Slot
@@ -397,6 +431,8 @@ let suite =
           test_pct_depth_bounds_switches;
         Alcotest.test_case "pct beats random on block bug" `Quick
           test_pct_beats_random_on_block_bug;
+        Alcotest.test_case "pct schedule pinned" `Quick
+          test_pct_schedule_pinned;
         Alcotest.test_case "dpor conflict-free collapses" `Quick
           test_dpor_conflict_free_collapses;
         Alcotest.test_case "dpor covers conflicting orders" `Quick
