@@ -150,6 +150,16 @@ mcheck-smoke:
 	dune exec bin/mcheck.exe -- --structure list --prim mirror \
 	  --crash-in-recovery --threads 3 --ops 3 --budget 4 --rec-budget 4 \
 	  --trust-partial-recovery --expect-violation
+	@# The replay paths: one pinned crash-in-recovery token must replay
+	@# clean, the same run trusting a half-finished recovery must be
+	@# caught, and the DPOR picker must find the orig-nvmm violation.
+	dune exec bin/mcheck.exe -- --structure list --prim mirror \
+	  --threads 3 --ops 3 --replay-recovery "1:3:2:2,1,1,2,2,2,0,2"
+	dune exec bin/mcheck.exe -- --structure list --prim mirror \
+	  --threads 3 --ops 3 --replay-recovery "1:0:0:2,1,1,2" \
+	  --trust-partial-recovery --expect-violation
+	dune exec bin/mcheck.exe -- --structure list --prim orig-nvmm \
+	  --picker dpor --threads 2 --ops 2 --expect-violation
 	@# Line-granular crash enumeration: with 8 slots per simulated cache
 	@# line the placement API packs neighbouring repp fields together,
 	@# flushes coalesce, and a lost line loses all its slots at once —
@@ -223,6 +233,7 @@ examples:
 	dune exec examples/counters.exe
 	dune exec examples/raw_heap.exe
 	dune exec examples/crash_torture.exe
+	dune exec examples/bank.exe
 
 clean:
 	dune clean

@@ -225,6 +225,16 @@ let ablation_crash_policy () =
    registry.  Also contrasts with the key-skew of a Zipfian workload. *)
 let ablation_recovery_time () =
   print_endline "=== ablation: recovery time vs structure size";
+  (* crash [region], then time [recover] inside one recovery session *)
+  let timed_recovery region recover =
+    Mirror_nvm.Region.crash region;
+    let ms = ref 0. in
+    Mirror_nvm.Region.recovery_session region (fun () ->
+        let t0 = Unix.gettimeofday () in
+        recover ();
+        ms := (Unix.gettimeofday () -. t0) *. 1e3);
+    !ms
+  in
   List.iter
     (fun range ->
       (* Mirror hash: recovery = trace all reachable nodes *)
@@ -236,11 +246,7 @@ let ablation_recovery_time () =
       List.iter
         (fun k -> ignore (S.insert t k k))
         (Mirror_workload.Workload.prefill_keys ~range);
-      Mirror_nvm.Region.crash region;
-      let t0 = Unix.gettimeofday () in
-      S.recover t;
-      let mirror_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-      Mirror_nvm.Region.mark_recovered region;
+      let mirror_ms = timed_recovery region (fun () -> S.recover t) in
       (* Link-Free list-per-bucket hash: recovery = registry scan + rebuild *)
       let region2 = Mirror_nvm.Region.create () in
       let module C = struct
@@ -252,11 +258,7 @@ let ablation_recovery_time () =
       List.iter
         (fun k -> ignore (LF.insert t2 k k))
         (Mirror_workload.Workload.prefill_keys ~range);
-      Mirror_nvm.Region.crash region2;
-      let t0 = Unix.gettimeofday () in
-      LF.recover t2;
-      let lf_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-      Mirror_nvm.Region.mark_recovered region2;
+      let lf_ms = timed_recovery region2 (fun () -> LF.recover t2) in
       Printf.printf "size=%-7d  mirror-trace=%8.1f ms   link-free-scan=%8.1f ms\n%!"
         (range / 2) mirror_ms lf_ms)
     [ 4096; 16384; 65536 ];

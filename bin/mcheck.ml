@@ -67,6 +67,16 @@ let main list_structures structure prim picker seed seeds budget threads ops
           ~threads ~ops_per_task:ops ()
   in
   let found = ref false in
+  (* the one print-and-collect path: a verdict line, then its violations,
+     which count toward the exit status *)
+  let emit line violations =
+    Format.printf "%s@." line;
+    List.iter
+      (fun v -> Format.printf "  %a@." Mirror_harness.Durable.pp_violation v)
+      violations;
+    if violations <> [] then found := true
+  in
+  let verdict vs = if vs = [] then "no violation" else "VIOLATION" in
   (* sanitizer pass before any crash enumeration: one crash-free reference
      run per seed, with discipline violations flagged online *)
   if psan && replay = None then
@@ -79,74 +89,50 @@ let main list_structures structure prim picker seed seeds budget threads ops
   (match (replay, replay_recovery) with
   | Some s, _ ->
       let seed, picks, crash_at = M.cx_of_string s in
-      let violations = M.replay scenario ~seed ~picks ~crash_at in
-      Format.printf "replay %s/%s seed=%d crash=%d (%d picks): %s@." structure
-        prim seed crash_at (Array.length picks)
-        (if violations = [] then "no violation" else "VIOLATION");
-      List.iter
-        (fun v ->
-          Format.printf "  %a@." Mirror_harness.Durable.pp_violation v)
-        violations;
-      found := violations <> []
+      let vs = M.replay scenario ~seed ~picks ~crash_at in
+      emit
+        (Printf.sprintf "replay %s/%s seed=%d crash=%d (%d picks): %s"
+           structure prim seed crash_at (Array.length picks) (verdict vs))
+        vs
   | None, Some s ->
       let seed, picks, crash_at, rec_at = M.rcx_of_string s in
-      let violations, note =
+      let vs, note =
         M.replay_recovery ~trust_partial scenario ~seed ~picks ~crash_at
           ~rec_at
       in
-      Format.printf
-        "replay-recovery %s/%s seed=%d crash=%d rec=%d (%d picks): %s%s@."
-        structure prim seed crash_at rec_at (Array.length picks)
-        (if violations = [] then "no violation" else "VIOLATION")
-        (if note = "" then "" else " [" ^ note ^ "]");
-      List.iter
-        (fun v ->
-          Format.printf "  %a@." Mirror_harness.Durable.pp_violation v)
-        violations;
-      found := violations <> []
-  | None, None when crash_in_recovery ->
-      for s = seed to seed + seeds - 1 do
-        let r =
-          M.check_recovery ~deep ~budget ~rec_budget ~trust_partial scenario
-            ~seed:s
-        in
-        Format.printf "%s/%s seed=%d: %a@." structure prim s
-          M.pp_recovery_report r;
-        match r.M.rr_counterexample with
-        | None -> ()
-        | Some rcx ->
-            found := true;
-            List.iter
-              (fun v ->
-                Format.printf "  %a@." Mirror_harness.Durable.pp_violation v)
-              rcx.M.rcx_violations
-      done
-  | None, None when picker = "dpor" ->
-      for s = seed to seed + seeds - 1 do
-        let r = M.check_dpor ~deep ~budget scenario ~seed:s in
-        Format.printf "%s/%s seed=%d: %a@." structure prim s M.pp_dpor_report
-          r;
-        match r.M.dr_counterexample with
-        | None -> ()
-        | Some cx ->
-            found := true;
-            List.iter
-              (fun v ->
-                Format.printf "  %a@." Mirror_harness.Durable.pp_violation v)
-              cx.M.cx_violations
-      done
+      emit
+        (Printf.sprintf
+           "replay-recovery %s/%s seed=%d crash=%d rec=%d (%d picks): %s%s"
+           structure prim seed crash_at rec_at (Array.length picks)
+           (verdict vs)
+           (if note = "" then "" else " [" ^ note ^ "]"))
+        vs
   | None, None ->
+      let cx_violations = function
+        | None -> []
+        | Some cx -> cx.M.cx_violations
+      in
       for s = seed to seed + seeds - 1 do
-        let r = M.check ~deep ~budget scenario ~seed:s in
-        Format.printf "%s/%s seed=%d: %a@." structure prim s M.pp_report r;
-        match r.M.counterexample with
-        | None -> ()
-        | Some cx ->
-            found := true;
-            List.iter
-              (fun v ->
-                Format.printf "  %a@." Mirror_harness.Durable.pp_violation v)
-              cx.M.cx_violations
+        let report, vs =
+          if crash_in_recovery then
+            let r =
+              M.check_recovery ~deep ~budget ~rec_budget ~trust_partial
+                scenario ~seed:s
+            in
+            ( Format.asprintf "%a" M.pp_recovery_report r,
+              match r.M.rr_counterexample with
+              | None -> []
+              | Some rcx -> rcx.M.rcx_violations )
+          else if picker = "dpor" then
+            let r = M.check_dpor ~deep ~budget scenario ~seed:s in
+            ( Format.asprintf "%a" M.pp_dpor_report r,
+              cx_violations r.M.dr_counterexample )
+          else
+            let r = M.check ~deep ~budget scenario ~seed:s in
+            ( Format.asprintf "%a" M.pp_report r,
+              cx_violations r.M.counterexample )
+        in
+        emit (Printf.sprintf "%s/%s seed=%d: %s" structure prim s report) vs
       done);
   if !found = expect_violation then 0
   else begin

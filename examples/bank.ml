@@ -48,8 +48,8 @@ let () =
     o.Mirror_schedsim.Sched.steps !attempted;
 
   Mirror_nvm.Region.crash region;
-  Tx.recover bank (* redo-log replay *);
-  Mirror_nvm.Region.mark_recovered region;
+  Mirror_nvm.Region.recovery_session region (fun () ->
+      Tx.recover bank (* redo-log replay *));
 
   Printf.printf "after recovery: balances = [%s], total=%d\n"
     (String.concat "; "

@@ -40,8 +40,8 @@ let () =
     outcome.Mirror_schedsim.Sched.steps outcome.Mirror_schedsim.Sched.completed;
 
   Mirror_nvm.Region.crash region;
-  Array.iter Patomic.recover counters;
-  Mirror_nvm.Region.mark_recovered region;
+  Mirror_nvm.Region.recovery_session region (fun () ->
+      Array.iter Patomic.recover counters);
 
   let total_completed = Array.fold_left ( + ) 0 completed in
   let total_recovered =

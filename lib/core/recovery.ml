@@ -23,20 +23,16 @@ let register_tracer t f = t.tracers <- f :: t.tracers
 let crash ?policy t = Mirror_nvm.Region.crash ?policy t.region
 
 (** Run recovery: trace all data structures, then resume normal operation.
-    Opens a recovery session on the region (flipping the persistent
-    recovery epoch to odd, so a crash {e during} recovery is detected by
-    the next attempt) and runs the tracers under the in-recovery flag, so
-    the sanitizer treats their privileged accesses as such.  Recovery is
-    idempotent — tracers rebuild volatile state from persistent state
-    alone — so a detected interruption needs nothing beyond running again
-    from the start, which is exactly what this function does anyway. *)
+    The tracers run inside one {!Mirror_nvm.Region.recovery_session}
+    (persistent recovery epoch odd until they finish, so a crash {e during}
+    recovery is detected by the next attempt; privileged accesses under
+    the in-recovery flag).  Recovery is idempotent — tracers rebuild
+    volatile state from persistent state alone — so a detected
+    interruption needs nothing beyond running again from the start, which
+    is exactly what this function does anyway. *)
 let recover t =
-  let (_interrupted : bool) = Mirror_nvm.Region.begin_recovery t.region in
-  Mirror_nvm.Hooks.with_recovery (fun () ->
-      Mirror_nvm.Hooks.recovery_point Mirror_nvm.Hooks.R_begin;
-      List.iter (fun f -> f ()) (List.rev t.tracers);
-      Mirror_nvm.Hooks.recovery_point Mirror_nvm.Hooks.R_done);
-  Mirror_nvm.Region.mark_recovered t.region
+  Mirror_nvm.Region.recovery_session t.region (fun () ->
+      List.iter (fun f -> f ()) (List.rev t.tracers))
 
 (** Convenience: crash then immediately recover. *)
 let crash_and_recover ?policy t =

@@ -292,52 +292,8 @@ module Core = struct
     Atomic.set t.registry nodes
 end
 
-(** Pack the list form as a {!Mirror_dstruct.Sets.SET}. *)
-module List_set (C : sig
-  val region : Region.t
-  val track : bool
-end) : Mirror_dstruct.Sets.SET = struct
-  type t = int Core.t
-
-  let name = "list/link-free"
-  let create ?capacity () = ignore capacity; Core.create ~track:C.track C.region
-  let insert = Core.insert
-  let remove = Core.remove
-  let contains = Core.contains
-  let find_opt = Core.find_opt
-  let to_list = Core.to_list
-  let recover = Core.recover
-end
-
-(** Hash form: one Link-Free list per bucket. *)
-module Hash_set (C : sig
-  val region : Region.t
-  val track : bool
-end) : Mirror_dstruct.Sets.SET = struct
-  type t = { buckets : int Core.t array; mask : int }
-
-  let name = "hash/link-free"
-
-  let rec next_pow2 n acc = if acc >= n then acc else next_pow2 n (acc * 2)
-
-  let create ?(capacity = 1024) () =
-    let n = next_pow2 (max 2 capacity) 2 in
-    let ebr = Mirror_core.Ebr.create () in
-    {
-      buckets = Array.init n (fun _ -> Core.create ~track:C.track ~ebr C.region);
-      mask = n - 1;
-    }
-
-  let bucket t k = t.buckets.((k * 0x2545F4914F6CDD1D) lsr 16 land t.mask)
-  let insert t k v = Core.insert (bucket t k) k v
-  let remove t k = Core.remove (bucket t k) k
-  let contains t k = Core.contains (bucket t k) k
-  let find_opt t k = Core.find_opt (bucket t k) k
-
-  let to_list t =
-    Array.to_list t.buckets
-    |> List.concat_map Core.to_list
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-  let recover t = Array.iter Core.recover t.buckets
-end
+(** The list form and the hash form (one list per bucket) as
+    {!Mirror_dstruct.Sets.SET}s. *)
+include Set_forms.Make (Core) (struct
+  let family = "link-free"
+end)

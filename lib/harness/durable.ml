@@ -247,13 +247,9 @@ let torture_schedsim (module S : Sets.SET) ~(region : Mirror_nvm.Region.t)
         (cap, outcome))
   in
   Mirror_nvm.Region.crash ~policy region;
-  let (_ : bool) = Mirror_nvm.Region.begin_recovery region in
-  Mirror_nvm.Hooks.with_recovery (fun () ->
-      Mirror_nvm.Hooks.recovery_point Mirror_nvm.Hooks.R_begin;
+  Mirror_nvm.Region.recovery_session region (fun () ->
       recover ();
-      cap.cap_recover ();
-      Mirror_nvm.Hooks.recovery_point Mirror_nvm.Hooks.R_done);
-  Mirror_nvm.Region.mark_recovered region;
+      cap.cap_recover ());
   let observed = cap.cap_observed () in
   let workers = cap.cap_workers in
   let violations =
@@ -322,13 +318,9 @@ let torture_domains (module S : Sets.SET) ~(region : Mirror_nvm.Region.t)
   Atomic.set stop true;
   Array.iter Domain.join doms;
   Mirror_nvm.Region.crash ~policy region;
-  let (_ : bool) = Mirror_nvm.Region.begin_recovery region in
-  Mirror_nvm.Hooks.with_recovery (fun () ->
-      Mirror_nvm.Hooks.recovery_point Mirror_nvm.Hooks.R_begin;
+  Mirror_nvm.Region.recovery_session region (fun () ->
       recover ();
-      S.recover t;
-      Mirror_nvm.Hooks.recovery_point Mirror_nvm.Hooks.R_done);
-  Mirror_nvm.Region.mark_recovered region;
+      S.recover t);
   let observed = S.to_list t in
   let violations =
     validate ~prefilled:Mirror_workload.Workload.is_prefilled ~range ~observed workers

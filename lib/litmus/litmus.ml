@@ -1,12 +1,11 @@
 (** Persistency litmus runner.  See the interface for semantics; the
     mechanics worth knowing:
 
-    - {b Event capture.}  The persist-event log of each DPOR schedule is
-      captured during the exploration run itself: the hook accumulates
-      across the whole exploration and the factory resets the log as each
-      fresh instance is built, so construction / prefill events never
-      become crash candidates (same convention as
-      {!Mirror_mcheck.Mcheck.record}).
+    - {b The sweep.}  Exploration, event capture and the per-schedule
+      crash points are the model checker's one DPOR crash sweep
+      ({!Mirror_mcheck.Mcheck.dpor_crash_sweep}, as behind
+      [Mcheck.check_dpor]); the litmus runner never stops it early, and
+      collects one durable observation per crash point.
 
     - {b Crash replays.}  Each complete schedule is re-executed once per
       crash point with {!Mirror_mcheck.Mcheck.crash_replay}[ ~strict:true]
@@ -19,7 +18,7 @@
       eviction would turn exact outcome sets into flaky ones. *)
 
 module Sched = Mirror_schedsim.Sched
-module Hooks = Mirror_nvm.Hooks
+module Mcheck = Mirror_mcheck.Mcheck
 
 type obs = int list
 
@@ -92,34 +91,23 @@ let set_to_string os =
    event [crash_at], recover, observe. *)
 let durable_at (t : t) ~picks ~crash_at : obs =
   let p = t.mk () in
-  let (_ : bool) =
-    Mirror_mcheck.Mcheck.crash_replay ~strict:true ~picks ~crash_at p.tasks
-  in
+  let (_ : bool) = Mcheck.crash_replay ~strict:true ~picks ~crash_at p.tasks in
   p.crash_recover ();
   p.observe_durable ()
 
 let run ?(limit = 50_000) ?(max_steps = 2_000) (t : t) : result =
   let live = ref [] and durable = ref [] in
   let points = ref 0 in
-  let evs = ref [] in
-  let factory () =
-    let p = t.mk () in
-    evs := [];
-    (p.tasks, fun () -> live := p.observe () :: !live)
-  in
-  let on_schedule ~picks =
-    let events = Array.of_list (List.rev !evs) in
-    List.iter
-      (fun crash_at ->
+  let rep, _ =
+    Mcheck.dpor_crash_sweep ~limit ~max_steps
+      ~points:(fun events -> Mcheck.crash_points events)
+      ~try_at:(fun ~picks crash_at ->
         incr points;
-        durable := durable_at t ~picks ~crash_at :: !durable)
-      (Mirror_mcheck.Mcheck.crash_points events);
-    true
-  in
-  let rep =
-    Hooks.with_persist
-      (fun ev -> evs := ev :: !evs)
-      (fun () -> Sched.explore_dpor ~limit ~max_steps ~on_schedule factory)
+        durable := durable_at t ~picks ~crash_at :: !durable;
+        ([], ()))
+      (fun () ->
+        let p = t.mk () in
+        (p.tasks, fun () -> live := p.observe () :: !live))
   in
   let live = oset !live and durable = oset !durable in
   let hits =

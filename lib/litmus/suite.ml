@@ -25,9 +25,7 @@ module Prim = Mirror_prim.Prim
 
 let crash_recover_with r recover () =
   Region.crash ~policy:Region.Adversarial r;
-  let (_ : bool) = Region.begin_recovery r in
-  Hooks.with_recovery recover;
-  Region.mark_recovered r
+  Region.recovery_session r recover
 
 (* -- raw-slot flush/fence ordering (WP-style) ------------------------------ *)
 

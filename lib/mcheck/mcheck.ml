@@ -2,17 +2,23 @@
     interface for the overall shape; the mechanics worth knowing:
 
     - {b Recording.}  The reference run executes under
-      {!Mirror_schedsim.Sched.run_recorded} with a persist hook installed
-      ({!Mirror_nvm.Hooks.with_persist}); the hook fires {e before} each
-      event's effect, so event [i] of the log is exactly the boundary
-      "instruction [i] is about to persist something".
+      {!Mirror_schedsim.Sched.run_recorded} inside the one persist-event
+      log ({!with_event_log}); the hook fires {e before} each event's
+      effect, so event [i] of the log is exactly the boundary "instruction
+      [i] is about to persist something".
 
-    - {b Crashing.}  To crash just before event [i], a counting hook raises
-      {!Mirror_schedsim.Sched.Killed} inside whichever fiber is executing
-      when its counter reaches [i] (killing that operation mid-instruction)
-      and flips a flag polled by the scheduler's [stop] parameter, which
-      discontinues every other live fiber — a whole-system power failure at
-      an exact instruction boundary, not a step count.
+    - {b Crashing.}  To crash just before event [i], the one counter
+      ({!die_before}) raises {!Mirror_schedsim.Sched.Killed} inside
+      whichever fiber is executing when it reaches [i] (killing that
+      operation mid-instruction) and flips a flag polled by the scheduler's
+      [stop] parameter, which discontinues every other live fiber — a
+      whole-system power failure at an exact instruction boundary, not a
+      step count.  The same counter kills recovery before its [i]-th
+      recovery point.
+
+    - {b Sweeping.}  Every checker walks its crash points with one
+      first-failing-point scan ({!first_failing}); the DPOR checker and the
+      litmus runner share one DPOR crash sweep ({!dpor_crash_sweep}).
 
     - {b Determinism.}  A scenario builds everything fresh per run (region,
       structure, workload RNGs) from the seed alone, so replaying the
@@ -37,6 +43,38 @@ type instance = {
 
 type scenario = seed:int -> instance
 
+(* -- the event log and the crash counter ------------------------------------ *)
+
+(* The one persist-event log: [f] runs under a logging persist hook and gets
+   [take], which returns the events announced since the previous [take]
+   (or since the log opened) and empties the log. *)
+let with_event_log f =
+  let evs = ref [] in
+  let take () =
+    let events = Array.of_list (List.rev !evs) in
+    evs := [];
+    events
+  in
+  Hooks.with_persist (fun ev -> evs := ev :: !evs) (fun () -> f take)
+
+(* The one "die before event [at]" counter: the hook lets events
+   [0 .. at-1] through, raises [exn] just before event [at] and is inert
+   afterwards.  [seen] counts the events let through; with [at = max_int]
+   it never fires and only counts. *)
+type counter = { mutable seen : int; mutable fired : bool }
+
+let die_before ~at exn =
+  let c = { seen = 0; fired = false } in
+  let hook _ =
+    if not c.fired then
+      if c.seen = at then begin
+        c.fired <- true;
+        raise exn
+      end
+      else c.seen <- c.seen + 1
+  in
+  (c, hook)
+
 (* -- recording -------------------------------------------------------------- *)
 
 type trace = {
@@ -47,17 +85,9 @@ type trace = {
 
 let record (scenario : scenario) ~seed : trace =
   let inst = scenario ~seed in
-  let evs = ref [] in
-  let outcome, picks =
-    Hooks.with_persist
-      (fun ev -> evs := ev :: !evs)
-      (fun () -> Sched.run_recorded ~seed inst.tasks)
-  in
-  {
-    events = Array.of_list (List.rev !evs);
-    picks;
-    completed = outcome.Sched.completed;
-  }
+  with_event_log (fun take ->
+      let outcome, picks = Sched.run_recorded ~seed inst.tasks in
+      { events = take (); picks; completed = outcome.Sched.completed })
 
 (* -- crash-point enumeration ------------------------------------------------- *)
 
@@ -104,37 +134,35 @@ let crash_points ?(deep = false) (events : Hooks.persist_event array) :
     events;
   List.rev (Array.length events :: !pts)
 
+(* The one first-failing-point scan: try [points] in ascending order and
+   return the first whose [try_at] reports violations, with its result.
+   Callers count their executions inside [try_at]. *)
+let first_failing points try_at =
+  List.find_map
+    (fun p -> match try_at p with [], _ -> None | r -> Some (p, r))
+    points
+
 (* -- crashed replay ----------------------------------------------------------- *)
 
 let crash_replay ?strict ~picks ~crash_at tasks =
-  let count = ref 0 in
-  let crashed = ref false in
-  let hook (_ : Hooks.persist_event) =
-    if not !crashed then
-      if !count = crash_at then begin
-        crashed := true;
-        (* dies here, before the event's effect; the scheduler's [stop]
-           poll then discontinues every other fiber *)
-        raise Sched.Killed
-      end
-      else incr count
-  in
+  (* the fiber announcing event [crash_at] dies before its effect; the
+     scheduler's [stop] poll then discontinues every other fiber *)
+  let c, hook = die_before ~at:crash_at Sched.Killed in
   let (_ : Sched.outcome) =
     Hooks.with_persist hook (fun () ->
-        Sched.run_replay ?strict ~picks ~stop:(fun () -> !crashed) tasks)
+        Sched.run_replay ?strict ~picks ~stop:(fun () -> c.fired) tasks)
   in
-  !crashed
+  c.fired
 
 (* A fresh instance replayed up to the crash at [crash_at] and left down;
-   the caller drives recovery.  Non-strict: shrunk traces rely on the
-   pick-0 padding. *)
-let run_to_crash (scenario : scenario) ~seed ~picks ~crash_at =
+   the caller drives recovery. *)
+let run_to_crash ?strict (scenario : scenario) ~seed ~picks ~crash_at =
   let inst = scenario ~seed in
-  (inst, crash_replay ~picks ~crash_at inst.tasks)
+  (inst, crash_replay ?strict ~picks ~crash_at inst.tasks)
 
-let run_crash_at (scenario : scenario) ~seed ~picks ~crash_at :
+let run_crash_at ?strict (scenario : scenario) ~seed ~picks ~crash_at :
     Mirror_harness.Durable.violation list * bool =
-  let inst, crashed = run_to_crash scenario ~seed ~picks ~crash_at in
+  let inst, crashed = run_to_crash ?strict scenario ~seed ~picks ~crash_at in
   inst.crash_recover ();
   (inst.validate (), crashed)
 
@@ -147,33 +175,38 @@ type counterexample = {
   cx_violations : Mirror_harness.Durable.violation list;
 }
 
-let cx_to_string cx =
-  Printf.sprintf "%d:%d:%s" cx.cx_seed cx.cx_crash_at
-    (String.concat ","
-       (Array.to_list (Array.map string_of_int cx.cx_picks)))
+(* Replay tokens: integer fields, then the comma-separated pick list, all
+   ':'-separated. *)
+let to_token fields picks =
+  String.concat ":"
+    (List.map string_of_int fields
+    @ [ String.concat "," (Array.to_list (Array.map string_of_int picks)) ])
+
+(* The one token parser: exactly [arity] integer fields before the pick
+   list (which may be empty); anything else is rejected with [form] as the
+   expected shape. *)
+let of_token ~fn ~form ~arity s =
+  let fail () =
+    invalid_arg (Printf.sprintf "Mcheck.%s: expected %S, got %s" fn form s)
+  in
+  let int x = match int_of_string_opt x with Some i -> i | None -> fail () in
+  match List.rev (String.split_on_char ':' s) with
+  | picks :: fields when List.length fields = arity ->
+      let fields = Array.of_list (List.rev_map int fields) in
+      let picks =
+        if picks = "" then [||]
+        else Array.of_list (List.map int (String.split_on_char ',' picks))
+      in
+      (fields, picks)
+  | _ -> fail ()
+
+let cx_to_string cx = to_token [ cx.cx_seed; cx.cx_crash_at ] cx.cx_picks
 
 let cx_of_string s =
-  let fail () =
-    invalid_arg
-      ("Mcheck.cx_of_string: expected \"seed:crash_at:p0,p1,...\", got " ^ s)
+  let f, picks =
+    of_token ~fn:"cx_of_string" ~form:"seed:crash_at:p0,p1,..." ~arity:2 s
   in
-  match String.split_on_char ':' s with
-  | [ seed; crash_at; picks ] -> (
-      match (int_of_string_opt seed, int_of_string_opt crash_at) with
-      | Some seed, Some crash_at ->
-          let picks =
-            if picks = "" then [||]
-            else
-              String.split_on_char ',' picks
-              |> List.map (fun p ->
-                     match int_of_string_opt p with
-                     | Some p -> p
-                     | None -> fail ())
-              |> Array.of_list
-          in
-          (seed, picks, crash_at)
-      | _ -> fail ())
-  | _ -> fail ()
+  (f.(0), picks, f.(1))
 
 let replay scenario ~seed ~picks ~crash_at =
   fst (run_crash_at scenario ~seed ~picks ~crash_at)
@@ -188,7 +221,7 @@ let replay scenario ~seed ~picks ~crash_at =
 let shrink_picks scenario ~seed ~picks ~crash_at ~runs =
   let fails picks =
     incr runs;
-    fst (run_crash_at scenario ~seed ~picks ~crash_at) <> []
+    replay scenario ~seed ~picks ~crash_at <> []
   in
   let len = Array.length picks in
   let rec probe = function
@@ -211,15 +244,16 @@ type report = {
   counterexample : counterexample option;
 }
 
+let verdict = function
+  | None -> "durably linearizable"
+  | Some cx ->
+      Printf.sprintf "VIOLATION at crash point %d (replay with %s)"
+        cx.cx_crash_at (cx_to_string cx)
+
 let pp_report ppf r =
   Format.fprintf ppf
     "%d persist events, %d crash points (%d checked), %d executions: %s" r.events_total
-    r.points_total r.points_checked r.runs
-    (match r.counterexample with
-    | None -> "durably linearizable"
-    | Some cx ->
-        Printf.sprintf "VIOLATION at crash point %d (replay with %s)"
-          cx.cx_crash_at (cx_to_string cx))
+    r.points_total r.points_checked r.runs (verdict r.counterexample)
 
 (* Even-stride subsample of [points] down to [budget] entries, always
    keeping the last one. *)
@@ -236,22 +270,16 @@ let check ?(deep = false) ?(budget = max_int) (scenario : scenario) ~seed :
     report =
   let tr = record scenario ~seed in
   let all_points = crash_points ~deep tr.events in
-  let points_total = List.length all_points in
   let points = subsample all_points budget in
   let runs = ref 1 (* the reference run *) in
-  let rec scan = function
-    | [] -> None
-    | p :: rest ->
+  let failing =
+    first_failing points (fun crash_at ->
         incr runs;
-        let violations, _ =
-          run_crash_at scenario ~seed ~picks:tr.picks ~crash_at:p
-        in
-        if violations <> [] then Some (p, violations) else scan rest
+        run_crash_at scenario ~seed ~picks:tr.picks ~crash_at)
   in
   let counterexample =
-    match scan points with
-    | None -> None
-    | Some (crash_at, violations) ->
+    Option.map
+      (fun (crash_at, (violations, _)) ->
         let picks =
           shrink_picks scenario ~seed ~picks:tr.picks ~crash_at ~runs
         in
@@ -263,11 +291,17 @@ let check ?(deep = false) ?(budget = max_int) (scenario : scenario) ~seed :
           | [], _ -> violations (* unreachable: shrink keeps failing traces *)
           | vs, _ -> vs
         in
-        Some { cx_seed = seed; cx_picks = picks; cx_crash_at = crash_at; cx_violations }
+        {
+          cx_seed = seed;
+          cx_picks = picks;
+          cx_crash_at = crash_at;
+          cx_violations;
+        })
+      failing
   in
   {
     events_total = Array.length tr.events;
-    points_total;
+    points_total = List.length all_points;
     points_checked = List.length points;
     runs = !runs;
     counterexample;
@@ -279,16 +313,29 @@ let check ?(deep = false) ?(budget = max_int) (scenario : scenario) ~seed :
    the test suite, like [Sets.all_ds] / [Prim.all_names]. *)
 let pickers = [ "random"; "dpor" ]
 
-let record_events (scenario : scenario) ~seed ~picks :
-    Hooks.persist_event array =
-  let inst = scenario ~seed in
-  let evs = ref [] in
-  let (_ : Sched.outcome) =
-    Hooks.with_persist
-      (fun ev -> evs := ev :: !evs)
-      (fun () -> Sched.run_replay ~strict:true ~picks inst.tasks)
+(* The event log accumulates across the whole exploration and is emptied
+   as each fresh instance is built, so construction / prefill events never
+   become crash candidates (as in [record]); crash replays and recoveries
+   run inside [on_schedule] after the schedule's log was taken. *)
+let dpor_crash_sweep ?limit ?max_steps ~points ~try_at mk =
+  let found = ref None in
+  let rep =
+    with_event_log (fun take ->
+        let factory () =
+          let instance = mk () in
+          ignore (take () : Hooks.persist_event array);
+          instance
+        in
+        let on_schedule ~picks =
+          found :=
+            Option.map
+              (fun (p, r) -> (picks, p, r))
+              (first_failing (points (take ())) (try_at ~picks));
+          Option.is_none !found
+        in
+        Sched.explore_dpor ?limit ?max_steps ~on_schedule factory)
   in
-  Array.of_list (List.rev !evs)
+  (rep, !found)
 
 type dpor_report = {
   dr_schedules : int;
@@ -305,11 +352,7 @@ let pp_dpor_report ppf r =
     r.dr_schedules r.dr_pruned
     (if r.dr_exhausted then "exhausted" else "not exhausted")
     r.dr_points r.dr_runs
-    (match r.dr_counterexample with
-    | None -> "durably linearizable"
-    | Some cx ->
-        Printf.sprintf "VIOLATION at crash point %d (replay with %s)"
-          cx.cx_crash_at (cx_to_string cx))
+    (verdict r.dr_counterexample)
 
 (** Crash-point enumeration composed with systematic schedules: every
     schedule the sleep-set DPOR explores gets the full {!check} treatment
@@ -318,62 +361,38 @@ let pp_dpor_report ppf r =
     schedule", an exhausted [check_dpor] says "no violation exists for this
     scenario" — up to the footprint classifier's conservative conflicts.
 
-    The persist-event log of each schedule is captured during the
-    exploration run itself (reset as each fresh instance is built), so no
-    extra reference replay is needed; crash replays re-execute the recorded
-    picks strictly.  Stops at the first violation ([dr_exhausted] is then
-    false: the space was not fully swept). *)
+    DPOR picks are complete schedules, so crash replays re-execute them
+    strictly: a divergence raises instead of padding.  Stops at the first
+    violation ([dr_exhausted] is then false: the space was not fully
+    swept). *)
 let check_dpor ?(deep = false) ?(budget = max_int) ?(limit = 10_000)
     (scenario : scenario) ~seed : dpor_report =
-  let evs = ref [] in
-  let points_checked = ref 0 and runs = ref 0 in
-  let cx = ref None in
-  let factory () =
-    let inst = scenario ~seed in
-    (* construction / prefill events are not crash candidates, as in
-       [record] *)
-    evs := [];
-    (inst.tasks, fun () -> ())
-  in
-  let on_schedule ~picks =
-    incr runs;
-    let events = Array.of_list (List.rev !evs) in
-    let points = subsample (crash_points ~deep events) budget in
-    let rec scan = function
-      | [] -> true
-      | p :: rest ->
-          incr runs;
-          incr points_checked;
-          let violations, _ =
-            run_crash_at scenario ~seed ~picks ~crash_at:p
-          in
-          if violations <> [] then begin
-            cx :=
-              Some
-                {
-                  cx_seed = seed;
-                  cx_picks = picks;
-                  cx_crash_at = p;
-                  cx_violations = violations;
-                };
-            false
-          end
-          else scan rest
-    in
-    scan points
-  in
-  let rep =
-    Hooks.with_persist
-      (fun ev -> evs := ev :: !evs)
-      (fun () -> Sched.explore_dpor ~limit ~on_schedule factory)
+  let points_checked = ref 0 in
+  let rep, found =
+    dpor_crash_sweep ~limit
+      ~points:(fun events -> subsample (crash_points ~deep events) budget)
+      ~try_at:(fun ~picks crash_at ->
+        incr points_checked;
+        run_crash_at ~strict:true scenario ~seed ~picks ~crash_at)
+      (fun () -> ((scenario ~seed).tasks, ignore))
   in
   {
     dr_schedules = rep.Sched.dpor_schedules;
     dr_pruned = rep.Sched.dpor_pruned;
     dr_exhausted = rep.Sched.dpor_exhausted;
     dr_points = !points_checked;
-    dr_runs = !runs;
-    dr_counterexample = !cx;
+    (* one exploration run per schedule, one replay per point *)
+    dr_runs = rep.Sched.dpor_schedules + !points_checked;
+    dr_counterexample =
+      Option.map
+        (fun (picks, crash_at, (cx_violations, _)) ->
+          {
+            cx_seed = seed;
+            cx_picks = picks;
+            cx_crash_at = crash_at;
+            cx_violations;
+          })
+        found;
   }
 
 (* -- sanitizer pass --------------------------------------------------------------- *)
@@ -399,37 +418,25 @@ let psan_pass ?(buffered = false) (scenario : scenario) ~seed :
 
 exception Killed_in_recovery
 
-(* Count the recovery points of one full recovery at [crash_at]: every
-   {!Hooks.recovery_point} the instance's recovery procedure fires
-   (R_begin, one R_trace per variable restored, R_done, plus any heap
-   phase points). *)
-let count_recovery_points (scenario : scenario) ~seed ~picks ~crash_at =
+(* Crash a fresh instance at [crash_at], then run its recovery with the
+   crash counter set to kill it just before recovery point [rec_at] (every
+   {!Hooks.recovery_point}: R_begin, one R_trace per variable restored,
+   R_done, plus any heap phase points).  The counter tells whether the kill
+   fired and, with [rec_at = max_int], how many points a full recovery
+   has. *)
+let recover_until scenario ~seed ~picks ~crash_at ~rec_at =
   let inst, _ = run_to_crash scenario ~seed ~picks ~crash_at in
-  let n = ref 0 in
-  Hooks.with_recovery_hook (fun _ -> incr n) inst.crash_recover;
-  !n
-
-let run_crash_in_recovery (scenario : scenario) ~seed ~picks ~crash_at
-    ~rec_at ~trust_partial :
-    Mirror_harness.Durable.violation list * string * bool =
-  let inst, _ = run_to_crash scenario ~seed ~picks ~crash_at in
-  (* first recovery attempt, killed just before recovery point [rec_at] *)
-  let count = ref 0 in
-  let killed = ref false in
-  (try
-     Hooks.with_recovery_hook
-       (fun (_ : Hooks.recovery_event) ->
-         if not !killed then
-           if !count = rec_at then begin
-             killed := true;
-             raise Killed_in_recovery
-           end
-           else incr count)
-       inst.crash_recover
+  let c, hook = die_before ~at:rec_at Killed_in_recovery in
+  (try Hooks.with_recovery_hook hook inst.crash_recover
    with Killed_in_recovery -> ());
-  if not !killed then
+  (inst, c)
+
+let replay_recovery ?(trust_partial = false) scenario ~seed ~picks ~crash_at
+    ~rec_at : Mirror_harness.Durable.violation list * string =
+  let inst, c = recover_until scenario ~seed ~picks ~crash_at ~rec_at in
+  if not c.fired then
     (* recovery had fewer points than [rec_at]; it completed normally *)
-    (inst.validate (), "", false)
+    (inst.validate (), "")
   else if trust_partial then begin
     (* negative control: accept the half-finished recovery as if it were
        complete.  Unrecovered variables then surface either as an
@@ -437,13 +444,10 @@ let run_crash_in_recovery (scenario : scenario) ~seed ~picks ~crash_at
        genuine durable-linearizability violations. *)
     Mirror_nvm.Region.mark_recovered inst.region;
     match inst.validate () with
-    | vs ->
-        let note = if vs = [] then "" else "partial recovery accepted" in
-        (vs, note, true)
+    | vs -> (vs, if vs = [] then "" else "partial recovery accepted")
     | exception e ->
         ( [ { Mirror_harness.Durable.vkey = -1; observed = false; events = [] } ],
-          "validation raised: " ^ Printexc.to_string e,
-          true )
+          "validation raised: " ^ Printexc.to_string e )
   end
   else begin
     (* the discipline under test: a second power failure mid-recovery
@@ -452,17 +456,11 @@ let run_crash_in_recovery (scenario : scenario) ~seed ~picks ~crash_at
        must flag the interruption. *)
     inst.crash_recover ();
     let vs = inst.validate () in
-    let vs =
-      if Mirror_nvm.Region.recovery_interrupted inst.region then vs
-      else
-        { Mirror_harness.Durable.vkey = -2; observed = false; events = [] }
-        :: vs
-    in
-    let note =
-      if Mirror_nvm.Region.recovery_interrupted inst.region then ""
-      else "interrupted recovery not detected by the persistent epoch"
-    in
-    (vs, note, true)
+    if Mirror_nvm.Region.recovery_interrupted inst.region then (vs, "")
+    else
+      ( { Mirror_harness.Durable.vkey = -2; observed = false; events = [] }
+        :: vs,
+        "interrupted recovery not detected by the persistent epoch" )
   end
 
 type recovery_counterexample = {
@@ -475,45 +473,14 @@ type recovery_counterexample = {
 }
 
 let rcx_to_string rcx =
-  Printf.sprintf "%d:%d:%d:%s" rcx.rcx_seed rcx.rcx_crash_at rcx.rcx_rec_at
-    (String.concat ","
-       (Array.to_list (Array.map string_of_int rcx.rcx_picks)))
+  to_token [ rcx.rcx_seed; rcx.rcx_crash_at; rcx.rcx_rec_at ] rcx.rcx_picks
 
 let rcx_of_string s =
-  let fail () =
-    invalid_arg
-      ("Mcheck.rcx_of_string: expected \"seed:crash_at:rec_at:p0,p1,...\", \
-        got " ^ s)
+  let f, picks =
+    of_token ~fn:"rcx_of_string" ~form:"seed:crash_at:rec_at:p0,p1,..."
+      ~arity:3 s
   in
-  match String.split_on_char ':' s with
-  | [ seed; crash_at; rec_at; picks ] -> (
-      match
-        ( int_of_string_opt seed,
-          int_of_string_opt crash_at,
-          int_of_string_opt rec_at )
-      with
-      | Some seed, Some crash_at, Some rec_at ->
-          let picks =
-            if picks = "" then [||]
-            else
-              String.split_on_char ',' picks
-              |> List.map (fun p ->
-                     match int_of_string_opt p with
-                     | Some p -> p
-                     | None -> fail ())
-              |> Array.of_list
-          in
-          (seed, picks, crash_at, rec_at)
-      | _ -> fail ())
-  | _ -> fail ()
-
-let replay_recovery ?(trust_partial = false) scenario ~seed ~picks ~crash_at
-    ~rec_at =
-  let vs, note, _ =
-    run_crash_in_recovery scenario ~seed ~picks ~crash_at ~rec_at
-      ~trust_partial
-  in
-  (vs, note)
+  (f.(0), picks, f.(1), f.(2))
 
 type recovery_report = {
   rr_crash_points : int;  (** crash points examined (after budget) *)
@@ -549,47 +516,40 @@ let check_recovery ?(deep = false) ?(budget = max_int)
     ?(rec_budget = max_int) ?(trust_partial = false) (scenario : scenario)
     ~seed : recovery_report =
   let tr = record scenario ~seed in
+  let picks = tr.picks in
   let points = subsample (crash_points ~deep tr.events) budget in
   let runs = ref 1 in
   let pairs = ref 0 in
-  let found = ref None in
-  List.iter
-    (fun crash_at ->
-      if !found = None then begin
+  let found =
+    List.find_map
+      (fun crash_at ->
         incr runs;
-        let nrec =
-          count_recovery_points scenario ~seed ~picks:tr.picks ~crash_at
+        (* an uninterrupted recovery's points are the kill-point space *)
+        let _, full =
+          recover_until scenario ~seed ~picks ~crash_at ~rec_at:max_int
         in
-        let kills = subsample (List.init nrec Fun.id) rec_budget in
-        List.iter
-          (fun rec_at ->
-            if !found = None then begin
-              incr runs;
-              incr pairs;
-              let vs, note, _ =
-                run_crash_in_recovery scenario ~seed ~picks:tr.picks
-                  ~crash_at ~rec_at ~trust_partial
-              in
-              if vs <> [] then
-                found :=
-                  Some
-                    {
-                      rcx_seed = seed;
-                      rcx_picks = tr.picks;
-                      rcx_crash_at = crash_at;
-                      rcx_rec_at = rec_at;
-                      rcx_violations = vs;
-                      rcx_note = note;
-                    }
-            end)
-          kills
-      end)
-    points;
+        let kills = subsample (List.init full.seen Fun.id) rec_budget in
+        first_failing kills (fun rec_at ->
+            incr runs;
+            incr pairs;
+            replay_recovery ~trust_partial scenario ~seed ~picks ~crash_at
+              ~rec_at)
+        |> Option.map (fun (rec_at, (vs, note)) ->
+               {
+                 rcx_seed = seed;
+                 rcx_picks = picks;
+                 rcx_crash_at = crash_at;
+                 rcx_rec_at = rec_at;
+                 rcx_violations = vs;
+                 rcx_note = note;
+               }))
+      points
+  in
   {
     rr_crash_points = List.length points;
     rr_rec_points = !pairs;
     rr_runs = !runs;
-    rr_counterexample = !found;
+    rr_counterexample = found;
   }
 
 (* -- the standard set-workload scenario ------------------------------------------ *)
@@ -625,12 +585,7 @@ let set_scenario ~ds ~prim ?(policy = Mirror_nvm.Region.Adversarial)
     crash_recover =
       (fun () ->
         Mirror_nvm.Region.crash ~policy region;
-        let (_ : bool) = Mirror_nvm.Region.begin_recovery region in
-        Mirror_nvm.Hooks.with_recovery (fun () ->
-            Hooks.recovery_point Hooks.R_begin;
-            cap.cap_recover ();
-            Hooks.recovery_point Hooks.R_done);
-        Mirror_nvm.Region.mark_recovered region);
+        Mirror_nvm.Region.recovery_session region cap.cap_recover);
     validate =
       (fun () ->
         (* buffered validation demotes completed ops from undurable epochs
@@ -705,12 +660,7 @@ let queue_scenario ~prim ?(policy = Mirror_nvm.Region.Adversarial)
     crash_recover =
       (fun () ->
         Mirror_nvm.Region.crash ~policy region;
-        let (_ : bool) = Mirror_nvm.Region.begin_recovery region in
-        Mirror_nvm.Hooks.with_recovery (fun () ->
-            Hooks.recovery_point Hooks.R_begin;
-            Q.recover q;
-            Hooks.recovery_point Hooks.R_done);
-        Mirror_nvm.Region.mark_recovered region);
+        Mirror_nvm.Region.recovery_session region (fun () -> Q.recover q));
     validate =
       (fun () ->
         let de =

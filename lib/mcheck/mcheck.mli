@@ -58,11 +58,14 @@ val crash_replay :
     the fiber announcing it dies with {!Mirror_schedsim.Sched.Killed} and
     every other live fiber is cut at the next decision.  Returns whether
     the crash fired ([false]: the run completed first).  Recovery is the
-    caller's, and so is strictness: {!run_crash_at} replays non-strictly
-    (shrunk traces rely on the pick-0 padding), the litmus runner
-    strictly. *)
+    caller's, and so is strictness: replays of a random schedule are
+    non-strict (shrunk traces rely on the pick-0 padding); replays of a
+    DPOR schedule ({!check_dpor}, the litmus runner) are strict, since
+    those picks are complete schedules and a divergence must fail
+    loudly. *)
 
 val run_crash_at :
+  ?strict:bool ->
   scenario ->
   seed:int ->
   picks:int array ->
@@ -72,7 +75,8 @@ val run_crash_at :
     system just before persist event number [crash_at] takes effect (an
     index [>=] the number of events reached means the run completes and the
     crash lands at quiescence).  Runs recovery, then validates.  Returns the
-    violations and whether the crash actually cut the run mid-flight. *)
+    violations and whether the crash actually cut the run mid-flight.
+    [strict] as in {!crash_replay} (default non-strict). *)
 
 type counterexample = {
   cx_seed : int;
@@ -125,11 +129,6 @@ val pickers : string list
 (** Schedule pickers the CLI accepts (["random"; "dpor"]); kept in sync
     with [bin/mcheck.ml] by the test suite. *)
 
-val record_events :
-  scenario -> seed:int -> picks:int array -> Mirror_nvm.Hooks.persist_event array
-(** Persist-event log of one recorded schedule, replayed strictly
-    ({!Mirror_schedsim.Sched.Replay_exhausted} on divergence). *)
-
 type dpor_report = {
   dr_schedules : int;  (** complete schedules swept *)
   dr_pruned : int;  (** executions cut by the sleep set *)
@@ -141,13 +140,32 @@ type dpor_report = {
 
 val pp_dpor_report : Format.formatter -> dpor_report -> unit
 
+val dpor_crash_sweep :
+  ?limit:int ->
+  ?max_steps:int ->
+  points:(Mirror_nvm.Hooks.persist_event array -> int list) ->
+  try_at:
+    (picks:int array -> int -> Mirror_harness.Durable.violation list * 'r) ->
+  (unit -> (unit -> unit) list * (unit -> unit)) ->
+  Mirror_schedsim.Sched.dpor_report
+  * (int array * int * (Mirror_harness.Durable.violation list * 'r)) option
+(** The one DPOR crash sweep, shared by {!check_dpor} and the litmus
+    runner: explore the reduced interleaving space of the factory's fresh
+    instances ({!Mirror_schedsim.Sched.explore_dpor}, factory contract as
+    there), capture each complete schedule's persist-event log during its
+    exploration run (construction and prefill events excluded), and call
+    [try_at ~picks i] for each crash point [points] selects from that log,
+    in order.  The first call that returns violations stops the sweep and
+    is returned with its schedule and point; a [try_at] that never reports
+    violations sweeps the whole space. *)
+
 val check_dpor :
   ?deep:bool -> ?budget:int -> ?limit:int -> scenario -> seed:int -> dpor_report
 (** Crash-point enumeration composed with systematic schedules: each DPOR
     schedule's persist events are captured during the exploration run and
-    crash-replayed point by point.  [budget] subsamples points per
-    schedule; [limit] bounds DPOR executions.  Stops at the first
-    violation. *)
+    crash-replayed point by point, strictly ({!dpor_crash_sweep}).
+    [budget] subsamples points per schedule; [limit] bounds DPOR
+    executions.  Stops at the first violation. *)
 
 (** {1 Crash-in-recovery checking}
 
@@ -188,11 +206,6 @@ val replay_recovery :
   Mirror_harness.Durable.violation list * string
 (** Re-run one recorded crash-in-recovery; the reproduction entry point.
     Returns the violations and the diagnosis note. *)
-
-val count_recovery_points :
-  scenario -> seed:int -> picks:int array -> crash_at:int -> int
-(** Recovery points an uninterrupted recovery fires after crashing at
-    [crash_at] (the kill-point space of that crash point). *)
 
 type recovery_report = {
   rr_crash_points : int;  (** crash points examined (after budget) *)

@@ -666,3 +666,16 @@ let mark_recovered t =
     t.recovery_epoch <- t.recovery_epoch + 1;
   t.in_recovery_session <- false;
   t.down <- false
+
+(** The recovery protocol every crash harness runs: {!begin_recovery}, then
+    [f] under {!Hooks.with_recovery} between the [R_begin] and [R_done]
+    recovery points, then {!mark_recovered}.  No finaliser re-opens the
+    region: an exception from [f] or from a recovery-point hook leaves it
+    down with an odd epoch, so the next attempt sees the interruption. *)
+let recovery_session t f =
+  let (_ : bool) = begin_recovery t in
+  Hooks.with_recovery (fun () ->
+      Hooks.recovery_point Hooks.R_begin;
+      f ();
+      Hooks.recovery_point Hooks.R_done);
+  mark_recovered t

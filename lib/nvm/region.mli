@@ -213,3 +213,11 @@ val recovery_interrupted : t -> bool
 val mark_recovered : t -> unit
 (** Recovery complete; normal operation may resume.  Finalizes the
     recovery epoch back to even. *)
+
+val recovery_session : t -> (unit -> unit) -> unit
+(** One recovery, as every crash harness runs it: {!begin_recovery}, then
+    [f] under {!Hooks.with_recovery} between the [R_begin] and [R_done]
+    {!Hooks.recovery_point}s, then {!mark_recovered}.  If [f] (or a
+    recovery-point hook) raises, the exception propagates and the region
+    stays down with its epoch odd — a killed recovery is never marked
+    complete. *)

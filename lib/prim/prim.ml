@@ -166,11 +166,18 @@ module Volatile_nvmm (R : REGION) : S = struct
   let load_recovery t = Slot.peek t
 end
 
-(* -- Izraelevitz et al. --------------------------------------------------- *)
+(* -- Izraelevitz et al. and NVTraverse ------------------------------------ *)
 
-module Izraelevitz (R : REGION) : S = struct
-  let name = "izraelevitz"
-  let region = R.region
+(* The two general transformations persist every access alike except the
+   traversal load and the destination persist: this base treats every load
+   as critical (Izraelevitz et al.), NVTraverse overrides the two. *)
+module Transformed (C : sig
+  include REGION
+
+  val name : string
+end) : S with type 'a t = 'a Slot.t = struct
+  let name = C.name
+  let region = C.region
 
   type 'a t = 'a Slot.t
 
@@ -180,7 +187,8 @@ module Izraelevitz (R : REGION) : S = struct
 
   let make_near _ v = make v
 
-  (* read: load; flush; fence *)
+  (* critical read: load; flush; fence — persisted before the operation's
+     result may be exposed *)
   let load t =
     let v = Slot.load t in
     Slot.flush t;
@@ -218,55 +226,24 @@ module Izraelevitz (R : REGION) : S = struct
   let load_recovery t = Slot.peek t
 end
 
-(* -- NVTraverse ----------------------------------------------------------- *)
+module Izraelevitz (R : REGION) : S = Transformed (struct
+  include R
+
+  let name = "izraelevitz"
+end)
 
 module Nvtraverse (R : REGION) : S = struct
-  let name = "nvtraverse"
-  let region = R.region
+  include Transformed (struct
+    include R
 
-  type 'a t = 'a Slot.t
-
-  let make v =
-    charge_alloc_field ();
-    Slot.make ~persist:true region v
-
-  let make_near _ v = make v
+    let name = "nvtraverse"
+  end)
 
   (* traversal loads are free — the transformation's whole point *)
   let load_t t = Slot.load t
 
-  (* critical (destination) loads are persisted before the operation's
-     result may be exposed *)
-  let load t =
-    let v = Slot.load t in
-    Slot.flush t;
-    Region.fence region;
-    v
-
-  let store t v =
-    Region.fence region;
-    Slot.store t v;
-    Slot.flush t;
-    Region.fence region
-
-  let cas t ~expected ~desired =
-    Region.fence region;
-    let ok = Slot.cas t ~expected ~desired in
-    Slot.flush t;
-    Region.fence region;
-    ok
-
-  include Faa (struct
-    type nonrec 'a t = 'a t
-
-    let load = load
-    let cas = cas
-  end)
-
   (* flush-the-destination: the fence comes from the critical write *)
   let persist t = Slot.flush t
-  let recover _ = ()
-  let load_recovery t = Slot.peek t
 end
 
 (* -- Mirror ---------------------------------------------------------------- *)

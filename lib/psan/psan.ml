@@ -368,6 +368,38 @@ let check_watch t s (a : Hooks.access) =
 let disarm_watch s (a : Hooks.access) =
   if s.watch >= 0 && a.a_seq > s.watch then s.watch <- -1
 
+(* The pair-band step of an access to one replica of a Mirror pair: advance
+   that replica's shadow seq ([repv] or [repp]) and check the band. *)
+let band_step t (a : Hooks.access) ~repv =
+  if a.a_pair >= 0 then begin
+    let p = pair_st t a.a_pair in
+    if repv then p.seq_v <- max p.seq_v a.a_seq
+    else p.seq_p <- max p.seq_p a.a_seq;
+    check_band t p a
+  end
+
+let line_in_flight t (a : Hooks.access) =
+  if a.a_line >= 0 then Hashtbl.replace (inflight_of t a.a_domain) a.a_line ()
+
+(* A flushed version rides to the next fence: pending in the thread's
+   strict set and the domain's lenient set, its cache line in flight. *)
+let flush_pending t (a : Hooks.access) =
+  let strict = strict_of t a.a_tid in
+  strict := (a.a_slot, a.a_seq) :: !strict;
+  let lenient = lenient_of t a.a_domain in
+  lenient := (a.a_slot, a.a_seq) :: !lenient;
+  line_in_flight t a
+
+(* A fence commits a pending (slot, version) list into one shadow model. *)
+let commit_pending t pending commit =
+  List.iter
+    (fun (slot, seq) ->
+      match Hashtbl.find_opt t.slots slot with
+      | Some s -> commit s seq
+      | None -> ())
+    !pending;
+  pending := []
+
 (* Hot path: one event in O(1).  The mutex only matters under real domains
    (schedsim is single-domain); no code below can raise in normal
    operation, and the explicit unlock avoids a closure allocation per
@@ -397,61 +429,34 @@ let on_access_locked t (a : Hooks.access) =
          shadows already caught up via those A_flush/A_fence events *)
       t.durable_epoch <- max t.durable_epoch a.a_seq;
       t.cur_epoch <- max t.cur_epoch (a.a_seq + 1)
-  | Hooks.A_fence | Hooks.A_fence_elided -> (
+  | Hooks.A_fence | Hooks.A_fence_elided ->
       let strict = strict_of t a.a_tid in
-      let commit_strict () =
-        List.iter
-          (fun (slot, seq) ->
-            match Hashtbl.find_opt t.slots slot with
-            | Some s -> s.strict_pv <- max s.strict_pv seq
-            | None -> ())
-          !strict;
-        strict := []
-      in
-      match a.a_op with
-      | Hooks.A_fence ->
-          let lenient = lenient_of t a.a_domain in
-          (* W1: a charged fence that commits nothing new is exactly one
-             elision would skip (vacuously true when nothing is pending).
-             An in-flight cache line always defeats it: even an elided
-             flush records the line's one pending write-back, so the
-             elision layer would keep this fence. *)
-          let redundant =
-            Hashtbl.length (inflight_of t a.a_domain) = 0
-            && List.for_all
-                 (fun (slot, seq) ->
-                   match Hashtbl.find_opt t.slots slot with
-                   | Some s -> seq <= s.lenient_pv
-                   | None -> true)
-                 !lenient
-          in
-          if redundant then begin
-            t.w1_fence <- t.w1_fence + 1;
-            emit t W1 ~msg:"redundant fence: commits nothing new (elidable)"
-              ~slot:(-1) ~pair:(-1) ~tid:a.a_tid ~seq:(-1)
-          end;
-          List.iter
-            (fun (slot, seq) ->
-              match Hashtbl.find_opt t.slots slot with
-              | Some s -> s.lenient_pv <- max s.lenient_pv seq
-              | None -> ())
-            !lenient;
-          lenient := [];
-          drain_lines t a.a_domain;
-          commit_strict ()
-      | _ ->
-          (* elided fence: nothing pending in the domain; it is still the
-             calling thread's ordering point (trust rule, see header) *)
-          let lenient = lenient_of t a.a_domain in
-          List.iter
-            (fun (slot, seq) ->
-              match Hashtbl.find_opt t.slots slot with
-              | Some s -> s.lenient_pv <- max s.lenient_pv seq
-              | None -> ())
-            !lenient;
-          lenient := [];
-          drain_lines t a.a_domain;
-          commit_strict ())
+      let lenient = lenient_of t a.a_domain in
+      (* W1: a charged fence that commits nothing new is exactly one
+         elision would skip (vacuously true when nothing is pending).  An
+         in-flight cache line always defeats it: even an elided flush
+         records the line's one pending write-back, so the elision layer
+         would keep this fence.  An elided fence had nothing pending in
+         the domain; it is still the calling thread's ordering point
+         (trust rule, see header), so both commit alike. *)
+      if
+        a.a_op = Hooks.A_fence
+        && Hashtbl.length (inflight_of t a.a_domain) = 0
+        && List.for_all
+             (fun (slot, seq) ->
+               match Hashtbl.find_opt t.slots slot with
+               | Some s -> seq <= s.lenient_pv
+               | None -> true)
+             !lenient
+      then begin
+        t.w1_fence <- t.w1_fence + 1;
+        emit t W1 ~msg:"redundant fence: commits nothing new (elidable)"
+          ~slot:(-1) ~pair:(-1) ~tid:a.a_tid ~seq:(-1)
+      end;
+      commit_pending t lenient (fun s seq ->
+          s.lenient_pv <- max s.lenient_pv seq);
+      drain_lines t a.a_domain;
+      commit_pending t strict (fun s seq -> s.strict_pv <- max s.strict_pv seq)
   | _ -> (
       let s = slot_st t a in
       record_trace t s a;
@@ -465,45 +470,24 @@ let on_access_locked t (a : Hooks.access) =
             p.seq_v <- a.a_seq;
             p.seq_p <- a.a_seq
           end
-      | Hooks.A_load ->
-          if not a.a_protocol then
-            emit t V1
-              ~msg:
-                "hot-path read of persistent memory (Slot load outside a \
-                 protocol section): Mirror reads only volatile replicas"
-              ~slot:a.a_slot ~pair:a.a_pair ~tid:a.a_tid ~seq:a.a_seq;
-          check_watch t s a;
+      | Hooks.A_load | Hooks.A_load_repv | Hooks.A_store | Hooks.A_cas _ ->
+          (* a data access: the watch step (a write disarms it; a read is
+             checked — a failed CAS's witness is a read the operation's
+             outcome depends on), the dependence taint, and the band step
+             on the replica it touched *)
+          (match a.a_op with
+          | Hooks.A_store | Hooks.A_cas true -> disarm_watch s a
+          | Hooks.A_load when not a.a_protocol ->
+              emit t V1
+                ~msg:
+                  "hot-path read of persistent memory (Slot load outside a \
+                   protocol section): Mirror reads only volatile replicas"
+                ~slot:a.a_slot ~pair:a.a_pair ~tid:a.a_tid ~seq:a.a_seq;
+              check_watch t s a
+          | _ -> check_watch t s a);
           taint_dep t a.a_tid a.a_slot a.a_seq;
-          if a.a_pair >= 0 then begin
-            let p = pair_st t a.a_pair in
-            p.seq_p <- max p.seq_p a.a_seq;
-            check_band t p a
-          end
-      | Hooks.A_store | Hooks.A_cas true ->
-          disarm_watch s a;
-          taint_dep t a.a_tid a.a_slot a.a_seq;
-          if a.a_pair >= 0 then begin
-            let p = pair_st t a.a_pair in
-            p.seq_p <- max p.seq_p a.a_seq;
-            check_band t p a
-          end
-      | Hooks.A_cas false ->
-          (* the witness is a read: the operation's outcome depends on it *)
-          check_watch t s a;
-          taint_dep t a.a_tid a.a_slot a.a_seq;
-          if a.a_pair >= 0 then begin
-            let p = pair_st t a.a_pair in
-            p.seq_p <- max p.seq_p a.a_seq;
-            check_band t p a
-          end
-      | Hooks.A_load_repv ->
-          check_watch t s a;
-          taint_dep t a.a_tid a.a_slot a.a_seq;
-          if a.a_pair >= 0 then begin
-            let p = pair_st t a.a_pair in
-            p.seq_v <- max p.seq_v a.a_seq;
-            check_band t p a
-          end
+          band_step t a
+            ~repv:(match a.a_op with Hooks.A_load_repv -> true | _ -> false)
       | Hooks.A_write_repv ->
           (* Lemma 5.5: repv may only advance to a durable cell.  Under
              the buffered rule set it weakens to "durable or recorded in
@@ -521,11 +505,7 @@ let on_access_locked t (a : Hooks.access) =
                    a.a_seq s.lenient_pv)
               ~slot:a.a_slot ~pair:a.a_pair ~tid:a.a_tid ~seq:a.a_seq;
           disarm_watch s a;
-          if a.a_pair >= 0 then begin
-            let p = pair_st t a.a_pair in
-            p.seq_v <- max p.seq_v a.a_seq;
-            check_band t p a
-          end
+          band_step t a ~repv:true
       | Hooks.A_flush ->
           if a.a_seq <= s.lenient_pv then begin
             t.w1_flush <- t.w1_flush + 1;
@@ -533,12 +513,7 @@ let on_access_locked t (a : Hooks.access) =
               ~msg:"redundant flush: version already durable (elidable)"
               ~slot:a.a_slot ~pair:a.a_pair ~tid:a.a_tid ~seq:a.a_seq
           end;
-          let strict = strict_of t a.a_tid in
-          strict := (a.a_slot, a.a_seq) :: !strict;
-          let lenient = lenient_of t a.a_domain in
-          lenient := (a.a_slot, a.a_seq) :: !lenient;
-          if a.a_line >= 0 then
-            Hashtbl.replace (inflight_of t a.a_domain) a.a_line ()
+          flush_pending t a
       | Hooks.A_flush_coalesced ->
           (* the generalized W1: the slot's cache line is already in
              flight for this domain, so the flush is redundant whatever
@@ -550,12 +525,7 @@ let on_access_locked t (a : Hooks.access) =
           emit t W1
             ~msg:"redundant flush: cache line already in flight (coalesced)"
             ~slot:a.a_slot ~pair:a.a_pair ~tid:a.a_tid ~seq:a.a_seq;
-          let strict = strict_of t a.a_tid in
-          strict := (a.a_slot, a.a_seq) :: !strict;
-          let lenient = lenient_of t a.a_domain in
-          lenient := (a.a_slot, a.a_seq) :: !lenient;
-          if a.a_line >= 0 then
-            Hashtbl.replace (inflight_of t a.a_domain) a.a_line ()
+          flush_pending t a
       | Hooks.A_flush_elided ->
           (* trust rule: the line was clean, so the announced version is
              genuinely durable under both models.  In line mode the elided
@@ -563,8 +533,7 @@ let on_access_locked t (a : Hooks.access) =
              the in-flight state identical to the un-elided run. *)
           s.lenient_pv <- max s.lenient_pv a.a_seq;
           s.strict_pv <- max s.strict_pv s.lenient_pv;
-          if a.a_line >= 0 then
-            Hashtbl.replace (inflight_of t a.a_domain) a.a_line ()
+          line_in_flight t a
       | Hooks.A_persist_deferred ->
           (* buffered persist: the version is recorded into the open
              epoch, not flushed — only the buffered rule set credits it.

@@ -41,17 +41,12 @@ let gen_ops ~crashes ~rng ~n ~range =
       | 6 | 7 | 8 -> Query (Rng.int rng range)
       | _ -> Crash)
 
-(** Crash the region and run the structure's recovery under the full
-    protocol bracket, exactly as the harness does: epoch flip, recovery
-    session (so psan stays quiet and kill points fire), epoch close. *)
+(** Crash the region and run the structure's recovery in one recovery
+    session, exactly as the harness does: epoch flip, in-recovery flag (so
+    psan stays quiet and kill points fire), epoch close. *)
 let crash_recover region recover =
   Region.crash ~policy:Adversarial region;
-  let (_ : bool) = Region.begin_recovery region in
-  Hooks.with_recovery (fun () ->
-      Hooks.recovery_point Hooks.R_begin;
-      recover ();
-      Hooks.recovery_point Hooks.R_done);
-  Region.mark_recovered region
+  Region.recovery_session region recover
 
 (* -- runners: fresh structure + model, first divergence wins -------------------- *)
 

@@ -53,12 +53,7 @@ let manual_scenario ~prim ~(observe : (int * int) list ref option)
     crash_recover =
       (fun () ->
         Mirror_nvm.Region.crash ~policy:Adversarial region;
-        let (_ : bool) = Mirror_nvm.Region.begin_recovery region in
-        Mirror_nvm.Hooks.with_recovery (fun () ->
-            Mirror_nvm.Hooks.recovery_point Mirror_nvm.Hooks.R_begin;
-            S.recover t;
-            Mirror_nvm.Hooks.recovery_point Mirror_nvm.Hooks.R_done);
-        Mirror_nvm.Region.mark_recovered region);
+        Mirror_nvm.Region.recovery_session region (fun () -> S.recover t));
     validate =
       (fun () ->
         let obs = S.to_list t in
@@ -219,6 +214,30 @@ let test_codec_errors () =
   check (M.cx_of_string "5:17:" = (5, [||], 17)) "empty pick trace parses";
   check (M.cx_of_string "5:17:0,2,1" = (5, [| 0; 2; 1 |], 17)) "picks parse"
 
+(* The recovery token shares the pick-list parser but keeps its own arity:
+   three fields before the picks, no more and no fewer. *)
+let test_rcx_codec_errors () =
+  List.iter
+    (fun s ->
+      match M.rcx_of_string s with
+      | exception Invalid_argument _ -> ()
+      | _ -> check false (Printf.sprintf "%S must be rejected" s))
+    [
+      "";
+      "1:2:";
+      "1:2:3";
+      "a:2:3:";
+      "1:2:c:";
+      "1:2:3:x";
+      "1:2:3:4,";
+      "1:2:3:4:5";
+    ];
+  check
+    (M.rcx_of_string "5:17:2:" = (5, [||], 17, 2))
+    "empty pick trace parses";
+  check (M.rcx_of_string "5:17:2:0,2,1" = (5, [| 0; 2; 1 |], 17, 2))
+    "picks parse"
+
 (* -- the standard workload scenario over every structure ------------------------ *)
 
 let test_set_scenario_all_structures () =
@@ -328,5 +347,6 @@ let suite =
           test_check_dpor_exhausts_tiny_scenario;
         Alcotest.test_case "check_dpor negative control" `Quick
           test_check_dpor_negative_control;
+        Alcotest.test_case "rcx codec errors" `Quick test_rcx_codec_errors;
       ] );
   ]

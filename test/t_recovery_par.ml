@@ -232,6 +232,35 @@ let test_epoch_protocol () =
   Region.mark_recovered region;
   check (Region.recovery_epoch region land 1 = 0) "finalized even"
 
+(* [Region.recovery_session] fires R_begin and R_done around the work and
+   re-opens the region; a kill inside it must leave the region down with
+   the epoch odd — nothing may finalise a recovery that did not finish. *)
+let test_recovery_session () =
+  let region = Support.fresh_region () in
+  let seen = ref [] in
+  Hooks.with_recovery_hook
+    (fun ev -> seen := Hooks.recovery_event_name ev :: !seen)
+    (fun () ->
+      Region.crash region;
+      Region.recovery_session region (fun () ->
+          check !Hooks.in_recovery "work runs under the in-recovery flag";
+          check (Region.recovery_epoch region = 1) "epoch odd during the work")
+    );
+  check (List.rev !seen = [ "begin"; "done" ]) "R_begin, then R_done";
+  check (not (Region.is_down region)) "session re-opens the region";
+  check (Region.recovery_epoch region = 2) "session finalises the epoch";
+  Region.crash region;
+  (match Region.recovery_session region (fun () -> raise Exit) with
+  | () -> check false "the kill must propagate"
+  | exception Exit -> ());
+  check (Region.is_down region) "killed session leaves the region down";
+  check (Region.recovery_epoch region = 3) "killed session: epoch still odd";
+  check (not !Hooks.in_recovery) "in-recovery flag restored";
+  Region.crash region;
+  Region.recovery_session region ignore;
+  check (Region.recovery_interrupted region) "next session sees the kill";
+  check (Region.recovery_epoch region = 4) "and finalises even"
+
 (* -- sanitizer silence during recovery ------------------------------------- *)
 
 let test_psan_silent_during_recovery () =
@@ -242,14 +271,10 @@ let test_psan_silent_during_recovery () =
       let raw = Mirror_nvm.Slot.make ~persist:true region 0 in
       Mirror_core.Patomic.store x 41;
       Region.crash region;
-      let (_ : bool) = Region.begin_recovery region in
-      Hooks.with_recovery (fun () ->
-          Hooks.recovery_point Hooks.R_begin;
+      Region.recovery_session region (fun () ->
           Mirror_core.Patomic.recover x;
           (* privileged recovery write: store + immediate durability *)
-          Mirror_nvm.Slot.recover_store raw 7;
-          Hooks.recovery_point Hooks.R_done);
-      Region.mark_recovered region;
+          Mirror_nvm.Slot.recover_store raw 7);
       check (Mirror_core.Patomic.load x = 41) "recovered value readable";
       check (Mirror_nvm.Slot.peek raw = 7) "recovery write applied");
   let r = Mirror_psan.Psan.report sa in
@@ -341,5 +366,6 @@ let suite =
           test_pinned_restart_validates;
         Alcotest.test_case "check_recovery smoke + codec" `Quick
           test_check_recovery_smoke;
+        Alcotest.test_case "recovery session" `Quick test_recovery_session;
       ] );
   ]
