@@ -74,11 +74,15 @@ bench-smoke:
 # informational; perfbench/run.py is the benchmark proper.  One figure is
 # a gate: mem_bytes_per_key of kv-read and kv-update, read from each run's
 # last (JSON) line, must not exceed MEM_CEILING_B.  It is deterministic to
-# about 0.01 B (504.02 B per key at seed 1: three Mirror variables of 19
-# words, the node and the bucket array), so a layout regression fails here
-# instead of passing silently.  Each run's output lands in $(ARTIFACTS).
+# about 0.01 B (440.03 B per key at seed 1, 55 words: two buckets of a
+# 15-word head variable and an array cell, the node, its 15-word `next`
+# variable and the 4-word entry its insert installed in the predecessor
+# field; every field still holding Nil shares the table's one birth
+# entry), so a layout regression fails here instead of passing silently:
+# a birth entry per field measures 504 B.  Each run's output lands in
+# $(ARTIFACTS).
 PERFBENCH = ./_build/default/perfbench/bench.exe
-MEM_CEILING_B = 510
+MEM_CEILING_B = 446
 
 perfbench-smoke:
 	dune build ./perfbench/bench.exe

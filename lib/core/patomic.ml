@@ -23,7 +23,9 @@
     replica state, the region and [repp] (5 words); the pair id and the
     discipline are read from [repp]'s slot.  A strict variable is 19
     words in all: this record, the slot (8), its media block (2) and the
-    shared entry (4).
+    shared entry (4).  Variables born with one value may start on one
+    {!Mirror_nvm.Slot.birth} ({!make_born}): each is then 15 words plus
+    its share of the birth's 4.
 
     Invariants maintained (proved as Lemmas 5.3–5.5 in the paper, checked by
     the test suite under deterministic interleavings):
@@ -107,8 +109,8 @@ let announce_repv t op ~seq =
       a_protocol = Hooks.in_protocol ();
     }
 
-let make ?(placement = Dram) ?(discipline = Strict) ?(persist = true) ?line
-    region v =
+let make_born ?(placement = Dram) ?(discipline = Strict) ?(persist = true)
+    ?line region b =
   let uid = Atomic.fetch_and_add next_uid 1 in
   (* cache-line placement (line granularity, docs/MODEL.md): strict repp
      slots are carved from a line — the caller's ([make_near]'s) if given,
@@ -127,7 +129,7 @@ let make ?(placement = Dram) ?(discipline = Strict) ?(persist = true) ?line
      ordering fence is folded into the next protocol fence *)
   let repp =
     Slot.make_replica ~pair:uid ~buffered:(discipline = Buffered) ~persist
-      ?line region v
+      ?line region b
   in
   let t =
     {
@@ -139,6 +141,9 @@ let make ?(placement = Dram) ?(discipline = Strict) ?(persist = true) ?line
   in
   Region.register_volatile region invalidate t;
   t
+
+let make ?placement ?discipline ?persist ?line region v =
+  make_born ?placement ?discipline ?persist ?line region (Slot.birth v)
 
 let check t =
   Region.check_up t.region;
@@ -302,7 +307,12 @@ let recover t =
   Hooks.recovery_point Hooks.R_trace;
   if Slot.is_lost t.repp then
     invalid_arg "Patomic.recover: persistent replica was never persisted";
-  Atomic.set (repv_atomic t) (Slot.peek_entry t.repp);
+  (* both replicas point at one entry whenever the variable's last write
+     persisted, which after a quiesced crash is every variable: writing
+     it again would only pay [Atomic.set]'s write barrier, a darkening of
+     the old entry while the collector marks *)
+  let e = Slot.peek_entry t.repp in
+  if Atomic.get (repv_atomic t) != e then Atomic.set (repv_atomic t) e;
   revalidate t
 
 (** Read from the persistent space during recovery (the region is down, the
@@ -316,14 +326,16 @@ let load_recovery t =
 
 let discipline t = if Slot.buffered t.repp then Buffered else Strict
 let line t = Slot.line t.repp
-let seq_v t = (Atomic.get (repv_atomic t)).ver
-let seq_p t = (Slot.peek_entry t.repp).ver
+let entry_v t = Atomic.get (repv_atomic t)
+let entry_p t = Slot.peek_entry t.repp
+let seq_v t = (entry_v t).ver
+let seq_p t = (entry_p t).ver
 
 let persisted_seq t =
   Option.map (fun (e : _ Slot.entry) -> e.ver) (Slot.persisted_entry t.repp)
 
 let persisted_value t = Slot.persisted_value t.repp
-let peek_v t = (Atomic.get (repv_atomic t)).v
+let peek_v t = (entry_v t).v
 let peek_p t = Slot.peek t.repp
 
 (** The durability invariant, safe to sample concurrently: sequence numbers

@@ -39,7 +39,21 @@ val make :
     line ({!Mirror_nvm.Region.place_near}) so an object's fields share
     write-backs; by default a strict variable claims a fresh line.  On
     slot-granular regions ([slots_per_line = 1]) and under [Buffered] the
-    parameter is ignored. *)
+    parameter is ignored.  [make … v] is [make_born … (Slot.birth v)]. *)
+
+val make_born :
+  ?placement:placement ->
+  ?discipline:discipline ->
+  ?persist:bool ->
+  ?line:Mirror_nvm.Region.line ->
+  Mirror_nvm.Region.t ->
+  'a Mirror_nvm.Slot.birth ->
+  'a t
+(** {!make} from a birth ({!Mirror_nvm.Slot.birth}) that other variables
+    may share: both replicas start on that one entry, so a variable costs
+    15 words instead of 19.  Billing and events are {!make}'s: the
+    variable still pays its own allocation-time write + flush and
+    announces its own [A_make] at seq 0. *)
 
 val load : 'a t -> 'a
 (** Wait-free read of the volatile replica (Figure 5). *)
@@ -58,7 +72,8 @@ val fetch_add : int t -> int -> int
 (** CAS loop returning the previous value; witness-driven like {!store}. *)
 
 val recover : 'a t -> unit
-(** Restore the volatile replica from the persistent one; called by the
+(** Restore the volatile replica from the persistent one (a replica that
+    already holds the persisted entry is only marked live); called by the
     structure's tracing routine while the region is down. *)
 
 val load_recovery : 'a t -> 'a
@@ -73,6 +88,12 @@ val line : 'a t -> Mirror_nvm.Region.line option
     slot-granular regions and buffered variables) — pass to {!make} via
     {!Mirror_nvm.Region.place_near} to co-locate a new field with this
     one. *)
+
+val entry_v : 'a t -> 'a Mirror_nvm.Slot.entry
+(** The volatile replica's cell. *)
+
+val entry_p : 'a t -> 'a Mirror_nvm.Slot.entry
+(** The persistent replica's current entry. *)
 
 val seq_v : 'a t -> int
 val seq_p : 'a t -> int

@@ -41,18 +41,25 @@ module Make (P : Mirror_prim.Prim.S) = struct
       reclamation domain, so a container of many lists (the hash table's
       bucket array) needs no record per list and no view per operation *)
 
+  type 'v nil = 'v node P.birth
+  (** the birth of every field born [Nil]: a list's head and the [next]
+      of each node inserted at its tail start on this one immutable cell *)
+
   type 'v t = {
     head : 'v head;  (** the persistent root of the structure *)
+    nil : 'v nil;
     ebr : Mirror_core.Ebr.t;
   }
 
-  let make_head () : 'v head = P.make Nil
+  let nil () : 'v nil = P.birth Nil
+  let make_head (nil : 'v nil) : 'v head = P.make_born nil
 
   let create ?ebr () =
     let ebr =
       match ebr with Some e -> e | None -> Mirror_core.Ebr.create ()
     in
-    { head = make_head (); ebr }
+    let nil = nil () in
+    { head = make_head nil; nil; ebr }
 
   (* -- traversal ---------------------------------------------------------- *)
 
@@ -128,7 +135,7 @@ module Make (P : Mirror_prim.Prim.S) = struct
     Mirror_core.Ebr.exit ebr;
     r
 
-  let insert_at ebr head k v =
+  let insert_at ebr nil head k v =
     Mirror_core.Ebr.enter ebr;
     let rec attempt () =
       let pred_field, curr = find ebr head k in
@@ -144,10 +151,14 @@ module Make (P : Mirror_prim.Prim.S) = struct
           Mirror_core.Alloc.count ~fields:1 ();
           (* place the new node's field on the predecessor field's cache
              line: the insert's allocation write-back and the CE's flush of
-             [pred_field] then coalesce into one line flush *)
-          let node =
-            Node { key = k; value = v; next = P.make_near pred_field curr }
+             [pred_field] then coalesce into one line flush.  A field born
+             [Nil] starts on the list's shared birth. *)
+          let next =
+            match curr with
+            | Nil -> P.make_near_born pred_field nil
+            | Node _ | Marked _ -> P.make_near pred_field curr
           in
+          let node = Node { key = k; value = v; next } in
           (* destination write: persist the surrounding field first
              (NVTraverse's flush-the-destination; no-op elsewhere) *)
           P.persist pred_field;
@@ -193,7 +204,7 @@ module Make (P : Mirror_prim.Prim.S) = struct
 
   let contains t k = contains_at t.ebr t.head k
   let find_opt t k = find_opt_at t.ebr t.head k
-  let insert t k v = insert_at t.ebr t.head k v
+  let insert t k v = insert_at t.ebr t.nil t.head k v
   let remove t k = remove_at t.ebr t.head k
 
   (* -- inspection (tests; not concurrent-safe) ----------------------------- *)

@@ -44,14 +44,24 @@ module Make (P : Mirror_prim.Prim.S) : sig
       The same operations over a bare root field and an explicit
       reclamation domain, for containers of many lists: the hash table
       keeps its bucket heads inline in one array with one shared
-      {!Mirror_core.Ebr.t}, and an operation allocates no list view. *)
+      {!Mirror_core.Ebr.t}, and an operation allocates no list view.  The
+      heads share one [Nil] birth too: every head, and every node [next]
+      inserted at a list's tail, starts on it. *)
 
   type 'v head
 
-  val make_head : unit -> 'v head
+  type 'v nil
+  (** The birth of every field born [Nil] ({!Mirror_prim.Prim.S.birth}). *)
+
+  val nil : unit -> 'v nil
+  val make_head : 'v nil -> 'v head
   val contains_at : Mirror_core.Ebr.t -> 'v head -> int -> bool
   val find_opt_at : Mirror_core.Ebr.t -> 'v head -> int -> 'v option
-  val insert_at : Mirror_core.Ebr.t -> 'v head -> int -> 'v -> bool
+
+  val insert_at : Mirror_core.Ebr.t -> 'v nil -> 'v head -> int -> 'v -> bool
+  (** A node inserted at the tail makes its [next] from [nil], the birth
+      the container made its heads from. *)
+
   val remove_at : Mirror_core.Ebr.t -> 'v head -> int -> bool
   val to_list_at : 'v head -> (int * 'v) list
   val recover_at : 'v head -> unit

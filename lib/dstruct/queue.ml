@@ -11,15 +11,21 @@
 module Make (P : Mirror_prim.Prim.S) = struct
   type 'v node = { value : 'v option; next : 'v node option P.t }
 
-  type 'v t = { head : 'v node P.t; tail : 'v node P.t }
+  type 'v t = {
+    head : 'v node P.t;
+    tail : 'v node P.t;
+    none : 'v node option P.birth;
+        (** the birth of every [next]: a node is born last in the queue *)
+  }
 
   let create () =
-    let dummy = { value = None; next = P.make None } in
+    let none = P.birth None in
+    let dummy = { value = None; next = P.make_born none } in
     let head = P.make dummy in
-    { head; tail = P.make_near head dummy }
+    { head; tail = P.make_near head dummy; none }
 
   let enqueue t v =
-    let node = { value = Some v; next = P.make None } in
+    let node = { value = Some v; next = P.make_born t.none } in
     Mirror_core.Alloc.count ~fields:1 ();
     let rec attempt () =
       let last = P.load t.tail in

@@ -13,6 +13,13 @@
     it too (the entry {e is} the Mirror cell: [ver] is its sequence
     number).
 
+    A slot starts on its {!birth}, the ver-0 entry.  Slots born with one
+    value may start on one birth: a slot's version still names exactly one
+    entry between two crashes, and no write ever touches a birth, so the
+    physical compare of entries stays the (value, version) compare.  A
+    slot is then 8 + 2 words (record and media block) plus its share of
+    the birth's 4.
+
     Versions keep write-backs monotone: on real hardware two [clwb]s of the
     same line can never travel back in time, so a concurrent flush of an
     older snapshot must not overwrite a newer persisted value.
@@ -113,9 +120,16 @@ let is_lost t =
 (* The epoch tag for a fresh write on this slot. *)
 let write_epoch t = if buffered t then Region.cur_epoch t.region else 0
 
+(* A slot's ver-0 entry.  Immutable once built: no install ever writes
+   it, since every install is of a fresh entry with [ver >= 1] (see
+   {!cas_entry}), so one birth can start any number of slots. *)
+type 'a birth = 'a entry
+
+let birth v = { v; ver = 0; ep = 0 }
+
 (* The strict media's "nothing persisted yet" entry: a version below every
    write's, so it covers nothing and leaves the slot dirty. *)
-let unpersisted v = { v; ver = -1; ep = 0 }
+let unpersisted (b : 'a birth) = { v = b.v; ver = -1; ep = 0 }
 
 (* Announce one structured access event (gated: call sites check
    [Hooks.access_on] first so the uninstrumented path pays one load). *)
@@ -259,18 +273,17 @@ let reset t ~persist_first =
   if persist_first then persist_monotone t (Atomic.get (current_atomic t));
   reset_media t
 
-let create ~persist ~charge_copy ~pair ~buffered line region v =
+let create ~persist ~charge_copy ~pair ~buffered line region (e : 'a birth) =
   (* buffered slots persist through the epoch clock, never through line
      write-backs: they take no line *)
   let line = if buffered then None else line in
-  let e = { v; ver = 0; ep = 0 } in
   let t =
     {
       current = e;
       region;
       media =
         (if buffered then Front { front = (if persist then [ e ] else []) }
-         else Newest { newest = (if persist then e else unpersisted v) });
+         else Newest { newest = (if persist then e else unpersisted e) });
       uid = Atomic.fetch_and_add next_uid 1;
       pair;
       line;
@@ -323,15 +336,18 @@ let create ~persist ~charge_copy ~pair ~buffered line region v =
     announce t Hooks.A_flush_coalesced ~seq:e.ver;
   t
 
-let make ?(persist = false) ?(buffered = false) ?line region v =
-  create ~persist ~charge_copy:false ~pair:(-1) ~buffered line region v
+let make_born ?(persist = false) ?(buffered = false) ?line region b =
+  create ~persist ~charge_copy:false ~pair:(-1) ~buffered line region b
+
+let make ?persist ?buffered ?line region v =
+  make_born ?persist ?buffered ?line region (birth v)
 
 (* The flags are labelled, not optional: every caller passes all three.
    This also keeps a build without cross-module inlining (the dev
    profile) from boxing each flag in an option per Mirror variable; a
    release build would not box them either way. *)
-let make_replica ~pair ~buffered ~persist ?line region v =
-  create ~persist ~charge_copy:persist ~pair ~buffered line region v
+let make_replica ~pair ~buffered ~persist ?line region b =
+  create ~persist ~charge_copy:persist ~pair ~buffered line region b
 
 let check t =
   Region.check_up t.region;

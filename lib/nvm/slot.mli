@@ -20,6 +20,14 @@ type 'a entry = private { v : 'a; ver : int; mutable ep : int }
     immutable once installed; between two crashes a version names exactly
     one entry of its slot. *)
 
+type 'a birth
+(** A slot's first entry ([ver = 0]), built once by {!birth}: every slot
+    made from it starts on that one immutable block, so fields born with
+    one value can share it.  No write ever installs or mutates a birth
+    ({!cas_entry} only takes a [desired] with [ver >= 1]). *)
+
+val birth : 'a -> 'a birth
+
 type 'a t
 
 val make :
@@ -33,7 +41,17 @@ val make :
     discipline: writes tag the region's open epoch and
     {!persist_deferred} records into the epoch's deferred set; crash
     recovery rolls the slot back to the newest write from a committed
-    epoch ([<= Region.durable_epoch]). *)
+    epoch ([<= Region.durable_epoch]).  [make … v] is
+    [make_born … (birth v)]. *)
+
+val make_born :
+  ?persist:bool ->
+  ?buffered:bool ->
+  ?line:Region.line ->
+  Region.t ->
+  'a birth ->
+  'a t
+(** {!make} from a birth that other slots may share. *)
 
 val make_replica :
   pair:int ->
@@ -41,13 +59,14 @@ val make_replica :
   persist:bool ->
   ?line:Region.line ->
   Region.t ->
-  'a ->
+  'a birth ->
   'a t
-(** The persistent replica of Mirror pair [pair]: as {!make}, and [pair]
-    is recorded for access-event attribution.  With [persist] the
+(** The persistent replica of Mirror pair [pair]: as {!make_born}, and
+    [pair] is recorded for access-event attribution.  With [persist] the
     allocation-time copy is also billed to NVMM as one write + one flush
     in the substrate's {!Stats}/{!Latency} accounting — the pair's
-    allocator wrote and wrote back this line before handing it out.  When
+    allocator wrote and wrote back this line before handing it out; each
+    slot pays its own copy, shared birth or not.  When
     the birth line is already in flight the birth write-back coalesces:
     it is billed as {!Stats.t.flush_coalesced} and rides the pending line
     flush. *)

@@ -30,9 +30,19 @@ module type S = sig
 
   type 'a t
 
+  type 'a birth
+  (** A field's initial state, built once and shareable by every field
+      born with the same value. *)
+
+  val birth : 'a -> 'a birth
+
   val make : 'a -> 'a t
   (** Allocate a field of a freshly allocated object (persisted at
-      allocation time where the strategy requires it). *)
+      allocation time where the strategy requires it).  [make v] is
+      [make_born (birth v)]. *)
+
+  val make_born : 'a birth -> 'a t
+  (** {!make} from a shared birth: same charges and events per field. *)
 
   val make_near : 'b t -> 'a -> 'a t
   (** Like {!make}, but ask the allocator to carve the new field from the
@@ -40,6 +50,9 @@ module type S = sig
       ({!Mirror_nvm.Region.place_near}), so the two share one write-back.
       Equal to {!make} for strategies without line placement and on
       slot-granular regions. *)
+
+  val make_near_born : 'b t -> 'a birth -> 'a t
+  (** {!make_near} from a shared birth. *)
 
   val load : 'a t -> 'a
   (** Load in the critical phase of an operation (at its destination). *)
@@ -99,9 +112,13 @@ module Volatile_dram (R : REGION) : S = struct
   let region = R.region
 
   type 'a t = 'a Atomic.t
+  type 'a birth = 'a
 
-  let make v = Atomic.make v
-  let make_near _ v = make v
+  let birth v = v
+  let make_born b = Atomic.make b
+  let make v = make_born (birth v)
+  let make_near_born _ b = make_born b
+  let make_near near v = make_near_born near (birth v)
 
   let load t =
     Hooks.yield ();
@@ -147,8 +164,13 @@ module Volatile_nvmm (R : REGION) : S = struct
   (* The prefilled structure starts persisted, but runtime writes are never
      flushed: this variant is *not* crash-consistent (it is the paper's
      non-durable baseline running from NVMM, and our negative control). *)
-  let make v = Slot.make ~persist:true region v
-  let make_near _ v = make v
+  type 'a birth = 'a Slot.birth
+
+  let birth = Slot.birth
+  let make_born b = Slot.make_born ~persist:true region b
+  let make v = make_born (birth v)
+  let make_near_born _ b = make_born b
+  let make_near near v = make_near_born near (birth v)
   let load t = Slot.load t
   let load_t = load
   let store t v = Slot.store t v
@@ -180,12 +202,17 @@ end) : S with type 'a t = 'a Slot.t = struct
   let region = C.region
 
   type 'a t = 'a Slot.t
+  type 'a birth = 'a Slot.birth
 
-  let make v =
+  let birth = Slot.birth
+
+  let make_born b =
     charge_alloc_field ();
-    Slot.make ~persist:true region v
+    Slot.make_born ~persist:true region b
 
-  let make_near _ v = make v
+  let make v = make_born (birth v)
+  let make_near_born _ b = make_born b
+  let make_near near v = make_near_born near (birth v)
 
   (* critical read: load; flush; fence — persisted before the operation's
      result may be exposed *)
@@ -259,23 +286,30 @@ end) : S = struct
   let region = C.region
 
   type 'a t = 'a Mirror_core.Patomic.t
+  type 'a birth = 'a Slot.birth
 
-  let make v =
-    Mirror_core.Patomic.make ~placement:C.placement ~discipline:C.discipline
-      ~persist:true region v
+  let birth = Slot.birth
+
+  let make_born b =
+    Mirror_core.Patomic.make_born ~placement:C.placement
+      ~discipline:C.discipline ~persist:true region b
+
+  let make v = make_born (birth v)
 
   (* co-locate the new field with [near]'s persistent replica: on
      line-granular regions the fields then share one write-back, turning a
      multi-field insert's N flushes into 1 (docs/MODEL.md, "Line
      granularity") *)
-  let make_near near v =
+  let make_near_born near b =
     match C.discipline with
-    | Mirror_core.Patomic.Buffered -> make v
+    | Mirror_core.Patomic.Buffered -> make_born b
     | Mirror_core.Patomic.Strict ->
-        Mirror_core.Patomic.make ~placement:C.placement
+        Mirror_core.Patomic.make_born ~placement:C.placement
           ~discipline:C.discipline ~persist:true
           ?line:(Region.place_near region (Mirror_core.Patomic.line near))
-          region v
+          region b
+
+  let make_near near v = make_near_born near (birth v)
 
   let load t = Mirror_core.Patomic.load t
   let load_t = load

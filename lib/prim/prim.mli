@@ -20,9 +20,23 @@ module type S = sig
 
   type 'a t
 
+  type 'a birth
+  (** A field's initial state, built once by {!birth}: every field made
+      from it starts on it, so fields born with one value (a hash table's
+      empty bucket heads, a list's [Nil]-born tail fields) share one
+      immutable cell ({!Mirror_nvm.Slot.birth}; the value itself for
+      {!Volatile_dram}). *)
+
+  val birth : 'a -> 'a birth
+
   val make : 'a -> 'a t
   (** Allocate a field of a freshly allocated object (persisted at
-      allocation time where the strategy requires it). *)
+      allocation time where the strategy requires it).  [make v] is
+      [make_born (birth v)]. *)
+
+  val make_born : 'a birth -> 'a t
+  (** {!make} from a birth other fields may share.  Charges and events
+      are per field, as for {!make}: sharing saves heap words only. *)
 
   val make_near : 'b t -> 'a -> 'a t
   (** Like {!make}, but carve the new field from the same cache line as
@@ -30,6 +44,9 @@ module type S = sig
       ({!Mirror_nvm.Region.place_near}), so the two share one write-back.
       Equal to {!make} for strategies without line placement and on
       slot-granular regions. *)
+
+  val make_near_born : 'b t -> 'a birth -> 'a t
+  (** {!make_near} from a shared birth. *)
 
   val load : 'a t -> 'a
   (** Load in the critical phase of an operation (at its destination). *)

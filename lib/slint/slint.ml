@@ -685,9 +685,14 @@ and walk ctx ~allow ~fname ~trav st e : eff =
   | Pexp_constraint (b, _) -> walk' st b
   | Pexp_open (_, b) -> walk' { tail = st.tail; p = st.p; w = st.w } b
   | Pexp_record (fields, base) ->
-      (* W2: two or more sibling fields allocated with P.make *)
+      (* W2: two or more sibling fields allocated with P.make (or its
+         birth-taking twin P.make_born) *)
       let makes =
-        List.filter (fun (_, fe) -> prim_app ctx (unparen fe) = Some "make")
+        List.filter
+          (fun (_, fe) ->
+            match prim_app ctx (unparen fe) with
+            | Some ("make" | "make_born") -> true
+            | _ -> false)
           fields
       in
       (if List.length makes >= 2 then

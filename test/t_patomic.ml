@@ -439,6 +439,57 @@ let test_make_alloc () =
   check (w <= 19.0)
     (Printf.sprintf "strict Patomic.make: %.2f minor words, at most 19" w)
 
+(* Making a variable from a shared birth allocates the record, the slot
+   and its media block, and not the birth entry. *)
+let test_make_born_alloc () =
+  let r = Support.fresh_region ~track:false () in
+  let b = Mirror_nvm.Slot.birth 0 in
+  let w = words_per_call 10_000 (fun _ -> ignore (Patomic.make_born r b)) in
+  check (w <= 15.0)
+    (Printf.sprintf "Patomic.make_born: %.2f minor words, at most 15" w)
+
+(* Two variables made from one birth start on one entry, physically.  A
+   CAS on one installs a fresh entry there and leaves the other on the
+   birth at seq 0; an adversarial crash and recovery restore both, the
+   untouched one to the birth itself. *)
+let test_shared_birth () =
+  let r = Support.fresh_region () in
+  let b = Mirror_nvm.Slot.birth 5 in
+  let x = Patomic.make_born r b and y = Patomic.make_born r b in
+  let birth = Patomic.entry_v x in
+  let invariants what =
+    List.iter
+      (fun v ->
+        check (Patomic.lemma54_ok v) ("lemma 5.4 " ^ what);
+        check (Patomic.durability_invariant_ok v) ("durability " ^ what))
+      [ x; y ]
+  in
+  let on_birth what v =
+    check
+      (Patomic.entry_v v == birth && Patomic.entry_p v == birth)
+      ("both replicas on the shared birth " ^ what)
+  in
+  on_birth "at birth (x)" x;
+  on_birth "at birth (y)" y;
+  invariants "at birth";
+  check (Patomic.cas x ~expected:5 ~desired:6) "cas on x";
+  check (Patomic.seq_v x = 1 && Patomic.load x = 6) "x moved to seq 1";
+  check (Patomic.seq_v y = 0 && Patomic.load y = 5) "y still at seq 0";
+  on_birth "after the cas on x" y;
+  check (birth.Mirror_nvm.Slot.ver = 0 && birth.v = 5) "the birth unchanged";
+  invariants "after the cas";
+  Region.crash ~policy:Region.Adversarial r;
+  Patomic.recover x;
+  Patomic.recover y;
+  Region.mark_recovered r;
+  check (Patomic.load x = 6) "x's completed cas survives";
+  check (Patomic.load y = 5 && Patomic.seq_v y = 0) "y restored at seq 0";
+  on_birth "after recovery" y;
+  invariants "after recovery";
+  check (Patomic.cas y ~expected:5 ~desired:7) "y usable after recovery";
+  check (Patomic.load x = 6 && Patomic.load y = 7) "the writes stay apart";
+  invariants "after a cas on y"
+
 (* A crash over a never-persisted variable loses its persistent replica;
    the variable still reports its discipline, and recovering it is a
    detected bug. *)
@@ -527,5 +578,9 @@ let suite =
           test_two_domain_atomicity;
         QCheck_alcotest.to_alcotest prop_random_ops_keep_invariants;
         QCheck_alcotest.to_alcotest prop_crash_recover_idempotent;
+        Alcotest.test_case "make_born: minor words per call" `Quick
+          test_make_born_alloc;
+        Alcotest.test_case "two variables from one birth" `Quick
+          test_shared_birth;
       ] );
   ]

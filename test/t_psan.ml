@@ -93,7 +93,8 @@ let test_v3_replica_band () =
         (* values equal the slot's versions, which are the sequence
            numbers announced for this fixture pair *)
         let repp =
-          Slot.make_replica ~pair:7001 ~buffered:false ~persist:true region 0
+          Slot.make_replica ~pair:7001 ~buffered:false ~persist:true region
+            (Slot.birth 0)
         in
         let bump expected =
           ignore

@@ -391,6 +391,26 @@ let prim_cases mk name =
     (fun p -> Alcotest.test_case (name ^ "/" ^ p) `Quick (mk p))
     Support.all_prim_names
 
+(* -- allocation ---------------------------------------------------------- *)
+
+(* Minor words one Mirror enqueue allocates, after a warm-up enqueue.  The
+   new node's [next] starts on the queue's one [None] birth, so the
+   enqueue allocates no birth entry of its own: 50 words, 54 with a
+   private birth per node. *)
+let test_enqueue_alloc () =
+  let region = Support.fresh_region ~track:false () in
+  let module P = (val Support.prim region "mirror") in
+  let module Q = Mirror_dstruct.Queue.Make (P) in
+  let q = Q.create () in
+  Q.enqueue q 0;
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    Q.enqueue q i
+  done;
+  let w = (Gc.minor_words () -. w0) /. float_of_int n in
+  check (w <= 50.0) (Printf.sprintf "enqueue: %.2f minor words, at most 50" w)
+
 let suite =
   [
     ( "queue-stack",
@@ -419,5 +439,7 @@ let suite =
             test_dq_linearizable;
           Alcotest.test_case "durable-queue mid-op crash torture" `Quick
             test_dq_crash_torture;
+          Alcotest.test_case "enqueue: minor words per call" `Quick
+            test_enqueue_alloc;
         ] );
   ]
