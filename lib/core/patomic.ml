@@ -109,6 +109,19 @@ let announce_repv t op ~seq =
       a_protocol = Hooks.in_protocol ();
     }
 
+(* The variable over its freshly made persistent replica. *)
+let of_repp placement region repp =
+  let t =
+    {
+      repv = Slot.peek_entry repp;
+      replica = (match placement with Dram -> Live_dram | Nvmm -> Live_nvmm);
+      region;
+      repp;
+    }
+  in
+  Region.register_volatile region invalidate t;
+  t
+
 let make_born ?(placement = Dram) ?(discipline = Strict) ?(persist = true)
     ?line region b =
   let uid = Atomic.fetch_and_add next_uid 1 in
@@ -127,23 +140,16 @@ let make_born ?(placement = Dram) ?(discipline = Strict) ?(persist = true)
      substrate by [Slot.make_replica] so elision accounting and the
      sanitizer's event stream see the same make the cost belongs to; the
      ordering fence is folded into the next protocol fence *)
-  let repp =
-    Slot.make_replica ~pair:uid ~buffered:(discipline = Buffered) ~persist
-      ?line region b
-  in
-  let t =
-    {
-      repv = Slot.peek_entry repp;
-      replica = (match placement with Dram -> Live_dram | Nvmm -> Live_nvmm);
-      region;
-      repp;
-    }
-  in
-  Region.register_volatile region invalidate t;
-  t
+  of_repp placement region
+    (Slot.make_replica ~pair:uid ~buffered:(discipline = Buffered) ~persist
+       ?line region b)
 
 let make ?placement ?discipline ?persist ?line region v =
   make_born ?placement ?discipline ?persist ?line region (Slot.birth v)
+
+let make_buffered_born region b =
+  let uid = Atomic.fetch_and_add next_uid 1 in
+  of_repp Dram region (Slot.make_buffered_replica ~pair:uid region b)
 
 let check t =
   Region.check_up t.region;
@@ -156,26 +162,18 @@ let check t =
 
 let read_repv t =
   Hooks.yield ();
-  let s = Stats.get () in
   (match t.replica with
-  | Live_dram | Stale_dram ->
-      s.Stats.dram_read <- s.Stats.dram_read + 1;
-      Latency.dram_read ()
-  | Live_nvmm | Stale_nvmm ->
-      s.Stats.nvm_read <- s.Stats.nvm_read + 1;
-      Latency.nvm_read ());
+  | Live_dram | Stale_dram -> Stats.bill_dram_read ()
+  | Live_nvmm | Stale_nvmm -> Stats.bill_nvm_read ~home:Stats.local);
   let c = Atomic.get (repv_atomic t) in
   if !Hooks.access_on then announce_repv t Hooks.A_load_repv ~seq:c.ver;
   c
 
 let write_repv t ~expected ~desired =
   Hooks.yield ();
-  let s = Stats.get () in
   (match t.replica with
-  | Live_dram | Stale_dram -> s.Stats.dram_cas <- s.Stats.dram_cas + 1
-  | Live_nvmm | Stale_nvmm ->
-      s.Stats.nvm_cas <- s.Stats.nvm_cas + 1;
-      Latency.nvm_write ());
+  | Live_dram | Stale_dram -> Stats.bill_dram_cas ()
+  | Live_nvmm | Stale_nvmm -> Stats.bill_nvm_cas ~home:Stats.local);
   (* double-word CAS on the volatile replica: the blocks are the cells *)
   let ok = Atomic.compare_and_set (repv_atomic t) expected desired in
   if ok && !Hooks.access_on then

@@ -55,6 +55,11 @@ val make_born :
     variable still pays its own allocation-time write + flush and
     announces its own [A_make] at seq 0. *)
 
+val make_buffered_born :
+  Mirror_nvm.Region.t -> 'a Mirror_nvm.Slot.buffered_birth -> 'a t
+(** {!make_born} [~discipline:Buffered] from a buffered birth: [repp]
+    also shares the birth's media history until its first write-back. *)
+
 val load : 'a t -> 'a
 (** Wait-free read of the volatile replica (Figure 5). *)
 

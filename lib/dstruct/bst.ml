@@ -194,7 +194,7 @@ module Make (P : Mirror_prim.Prim.S) = struct
             attempt ()
           end
           else begin
-            Mirror_core.Alloc.count ~fields:2 ();
+            Mirror_nvm.Stats.count_alloc ();
             let new_leaf = Leaf { key = k; value = Some v } in
             let ik = max k l.key in
             let lo, hi =

@@ -148,7 +148,7 @@ module Make (P : Mirror_prim.Prim.S) = struct
           ignore (P.load c.next);
           false
       | _ ->
-          Mirror_core.Alloc.count ~fields:1 ();
+          Mirror_nvm.Stats.count_alloc ();
           (* place the new node's field on the predecessor field's cache
              line: the insert's allocation write-back and the CE's flush of
              [pred_field] then coalesce into one line flush.  A field born

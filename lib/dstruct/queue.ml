@@ -26,7 +26,7 @@ module Make (P : Mirror_prim.Prim.S) = struct
 
   let enqueue t v =
     let node = { value = Some v; next = P.make_born t.none } in
-    Mirror_core.Alloc.count ~fields:1 ();
+    Mirror_nvm.Stats.count_alloc ();
     let rec attempt () =
       let last = P.load t.tail in
       let next = P.load last.next in

@@ -185,7 +185,7 @@ module Make (P : Mirror_prim.Prim.S) = struct
           false
       | _ ->
           let lvl = random_level t in
-          Mirror_core.Alloc.count ~fields:lvl ();
+          Mirror_nvm.Stats.count_alloc ();
           (* place the whole tower on the level-0 predecessor's cache
              line: the tower's allocation write-backs and the CE's flush
              of [pred_fields.(0)] coalesce while the line has room *)

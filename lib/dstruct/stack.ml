@@ -16,7 +16,7 @@ module Make (P : Mirror_prim.Prim.S) = struct
 
   let rec push t v =
     let cur = P.load t.top in
-    Mirror_core.Alloc.count ~fields:0 ();
+    Mirror_nvm.Stats.count_alloc ();
     if not (P.cas t.top ~expected:cur ~desired:(Some { value = v; below = cur }))
     then push t v
 

@@ -33,8 +33,7 @@ type 'v t = {
 }
 
 let mk_node region v =
-  let s = Stats.get () in
-  s.Stats.alloc <- s.Stats.alloc + 1;
+  Stats.count_alloc ();
   (* node contents persisted at allocation (one line) *)
   { value = v; next = Slot.make ~persist:true region None }
 

@@ -172,8 +172,7 @@ module Core = struct
             false
           end
       | _ ->
-          let s = Stats.get () in
-          s.Stats.alloc <- s.Stats.alloc + 1;
+          Stats.count_alloc ();
           let node =
             {
               key = k;

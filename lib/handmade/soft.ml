@@ -44,15 +44,12 @@ module Core = struct
   (* volatile accesses, charged at DRAM cost *)
   let vload a =
     Hooks.yield ();
-    let s = Stats.get () in
-    s.Stats.dram_read <- s.Stats.dram_read + 1;
-    Latency.dram_read ();
+    Stats.bill_dram_read ();
     Atomic.get a
 
   let vcas a ~expected ~desired =
     Hooks.yield ();
-    let s = Stats.get () in
-    s.Stats.dram_cas <- s.Stats.dram_cas + 1;
+    Stats.bill_dram_cas ();
     Atomic.compare_and_set a expected desired
 
   let create ?(track = true) ?ebr region =
@@ -158,8 +155,7 @@ module Core = struct
           ensure_durable t c;
           false
       | _ ->
-          let s = Stats.get () in
-          s.Stats.alloc <- s.Stats.alloc + 1;
+          Stats.count_alloc ();
           let node =
             {
               key = k;

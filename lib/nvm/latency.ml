@@ -83,14 +83,24 @@ let set_config c = config := c
    on.  See docs/MODEL.md, "NUMA semantics". *)
 let numa_remote = ref (env_int "MIRROR_NUMA_REMOTE_NS" 0)
 let numa_remote_ns () = !numa_remote
+let enabled = ref false
+let is_enabled () = !enabled
+
+(* Whether an access bill has more to do than bump its counter: kept in
+   step with the two knobs it is derived from, so the billing fast path
+   reads one flag. *)
+let charging = ref (!numa_remote > 0)
+let active () = !charging
+let rederive () = charging := !enabled || !numa_remote > 0
 
 let set_numa_remote_ns ns =
   if ns < 0 then invalid_arg "Latency.set_numa_remote_ns: ns < 0";
-  numa_remote := ns
+  numa_remote := ns;
+  rederive ()
 
-let enabled = ref false
-let set_enabled b = enabled := b
-let is_enabled () = !enabled
+let set_enabled b =
+  enabled := b;
+  rederive ()
 
 (* Calibration: how many iterations of an opaque spin loop per nanosecond.
    Calibrated lazily on first use; good to ~10% which is ample for a model. *)
@@ -137,10 +147,3 @@ let iters_per_ns () =
 let spin_ns ns =
   if ns > 0 then
     spin_iters (int_of_float (float_of_int ns *. iters_per_ns ()))
-
-let nvm_read () = if !enabled then spin_ns !config.nvm_read_ns
-let nvm_write () = if !enabled then spin_ns !config.nvm_write_ns
-let flush () = if !enabled then spin_ns !config.flush_ns
-let fence () = if !enabled then spin_ns !config.fence_ns
-let dram_read () = if !enabled then spin_ns !config.dram_read_ns
-let remote () = if !enabled then spin_ns !numa_remote

@@ -5,7 +5,9 @@
     DC characteristics (reads ~3x DRAM, cheap buffered writes, costly
     flush + fence); everything is overridable via [MIRROR_*_NS] environment
     variables or {!set_config}.  Injection is disabled by default (unit
-    tests count events only). *)
+    tests count events only).  {!Stats} is the only place an access is
+    billed: each of its [bill_*] functions bumps one counter and injects
+    the matching cost configured here. *)
 
 type config = {
   nvm_read_ns : int;
@@ -52,14 +54,10 @@ val set_numa_remote_ns : int -> unit
 val set_enabled : bool -> unit
 val is_enabled : unit -> bool
 
+val active : unit -> bool
+(** [is_enabled () || numa_remote_ns () > 0]: whether billing an access
+    ({!Stats.bill_nvm_read} and its siblings) does more than bump its
+    counter. *)
+
 val spin_ns : int -> unit
 (** Busy-wait approximately that many nanoseconds (self-calibrating). *)
-
-val nvm_read : unit -> unit
-val nvm_write : unit -> unit
-val flush : unit -> unit
-val fence : unit -> unit
-val dram_read : unit -> unit
-
-val remote : unit -> unit
-(** Charge the NUMA remote-line surcharge (no-op when disabled or 0). *)

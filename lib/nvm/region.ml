@@ -408,8 +408,7 @@ let fence t =
   end
   else begin
     Hooks.persist_point Hooks.Fence;
-    Stats.((get ()).fence <- (get ()).fence + 1);
-    Latency.fence ();
+    Stats.bill_fence ();
     if t.slots_per_line > 1 then Hashtbl.reset (my_inflight t);
     drain p run;
     if !Hooks.access_on then announce_fence t Hooks.A_fence;

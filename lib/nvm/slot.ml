@@ -29,9 +29,9 @@
     constant constructor per discipline), so the record is 8 words
     (64 bytes with its header).
 
-    Slots charge NVMM access costs ({!Latency}) and events ({!Stats}), and
-    call {!Hooks.yield} at each atomic step so the deterministic scheduler
-    can interleave them. *)
+    Slots bill each NVMM access through {!Stats} (its counter and its
+    {!Latency} cost), and call {!Hooks.yield} at each atomic step so the
+    deterministic scheduler can interleave them. *)
 
 type 'a entry = { v : 'a; ver : int; mutable ep : int }
 (** [ep] is the epoch that produced the write: [0] for strict slots
@@ -130,6 +130,17 @@ let birth v = { v; ver = 0; ep = 0 }
 (* The strict media's "nothing persisted yet" entry: a version below every
    write's, so it covers nothing and leaves the slot dirty. *)
 let unpersisted (b : 'a birth) = { v = b.v; ver = -1; ep = 0 }
+
+(* A buffered birth: the birth in the one-element media front of a slot
+   persisted at birth.  A write-back replaces a front rather than editing
+   it, so slots born from it share this one list until their first. *)
+type 'a buffered_birth = 'a entry list
+
+let buffered_birth v = [ birth v ]
+
+let media ~persist ~buffered (e : 'a birth) =
+  if buffered then Front { front = (if persist then [ e ] else []) }
+  else Newest { newest = (if persist then e else unpersisted e) }
 
 (* Announce one structured access event (gated: call sites check
    [Hooks.access_on] first so the uninstrumented path pays one load). *)
@@ -273,17 +284,19 @@ let reset t ~persist_first =
   if persist_first then persist_monotone t (Atomic.get (current_atomic t));
   reset_media t
 
-let create ~persist ~charge_copy ~pair ~buffered line region (e : 'a birth) =
+let create ~persist ~charge_copy ~pair line region (e : 'a birth) media =
   (* buffered slots persist through the epoch clock, never through line
      write-backs: they take no line *)
-  let line = if buffered then None else line in
+  let line =
+    match media with
+    | Front _ | Lost_buffered -> None
+    | Newest _ | Lost_strict -> line
+  in
   let t =
     {
       current = e;
       region;
-      media =
-        (if buffered then Front { front = (if persist then [ e ] else []) }
-         else Newest { newest = (if persist then e else unpersisted e) });
+      media;
       uid = Atomic.fetch_and_add next_uid 1;
       pair;
       line;
@@ -316,16 +329,15 @@ let create ~persist ~charge_copy ~pair ~buffered line region (e : 'a birth) =
        value is durable from birth (ver 0 persisted above), so there is no
        crash outcome to enumerate and nothing for the sanitizer to see
        beyond the make itself. *)
-    let s = Stats.get () in
-    s.Stats.nvm_write <- s.Stats.nvm_write + 1;
-    Latency.nvm_write ();
-    if coalesced_birth then
+    Stats.bill_nvm_write ~home:Stats.local;
+    if coalesced_birth then begin
       (* the birth [clwb] is absorbed by the line-mate's pending
          write-back: bill a coalesced flush instead of a charged one *)
+      let s = Stats.get () in
       s.Stats.flush_coalesced <- s.Stats.flush_coalesced + 1
+    end
     else begin
-      s.Stats.flush <- s.Stats.flush + 1;
-      Latency.flush ();
+      Stats.bill_flush ~home:Stats.local;
       match line with
       | Some l -> Region.mark_line_flushed region l
       | None -> ()
@@ -337,7 +349,8 @@ let create ~persist ~charge_copy ~pair ~buffered line region (e : 'a birth) =
   t
 
 let make_born ?(persist = false) ?(buffered = false) ?line region b =
-  create ~persist ~charge_copy:false ~pair:(-1) ~buffered line region b
+  create ~persist ~charge_copy:false ~pair:(-1) line region b
+    (media ~persist ~buffered b)
 
 let make ?persist ?buffered ?line region v =
   make_born ?persist ?buffered ?line region (birth v)
@@ -346,8 +359,15 @@ let make ?persist ?buffered ?line region v =
    This also keeps a build without cross-module inlining (the dev
    profile) from boxing each flag in an option per Mirror variable; a
    release build would not box them either way. *)
+let make_buffered_replica ~pair region (fb : 'a buffered_birth) =
+  create ~persist:true ~charge_copy:true ~pair None region (List.hd fb)
+    (Front { front = fb })
+
 let make_replica ~pair ~buffered ~persist ?line region b =
-  create ~persist ~charge_copy:persist ~pair ~buffered line region b
+  if buffered && persist then make_buffered_replica ~pair region [ b ]
+  else
+    create ~persist ~charge_copy:persist ~pair line region b
+      (media ~persist ~buffered b)
 
 let check t =
   Region.check_up t.region;
@@ -358,25 +378,11 @@ let check t =
          (never persisted): the recovery procedure reached unrecoverable data"
   | Newest _ | Front _ -> ()
 
-(* NUMA accounting: a charged NVMM access whose memory is homed on another
-   domain pays the remote-line surcharge.  With the knob at its default 0
-   this is a single int load and comparison — no counter moves, so every
-   uniform-memory count stays bit-identical. *)
-let charge_remote t =
-  if Latency.numa_remote_ns () > 0 && Hooks.tid () <> t.home then begin
-    let s = Stats.get () in
-    s.Stats.nvm_remote <- s.Stats.nvm_remote + 1;
-    Latency.remote ()
-  end
-
 (** Load from NVMM (paying the 3x-DRAM read cost): the whole entry. *)
 let load_entry t =
   Hooks.yield ();
   check t;
-  let s = Stats.get () in
-  s.Stats.nvm_read <- s.Stats.nvm_read + 1;
-  Latency.nvm_read ();
-  charge_remote t;
+  Stats.bill_nvm_read ~home:t.home;
   let e = Atomic.get (current_atomic t) in
   if !Hooks.access_on then announce t Hooks.A_load ~seq:e.ver;
   e
@@ -457,12 +463,9 @@ let begin_write t ev =
   Hooks.yield ();
   check t;
   Hooks.persist_point ev;
-  let s = Stats.get () in
-  (match ev with
-  | Hooks.Write -> s.Stats.nvm_write <- s.Stats.nvm_write + 1
-  | _ -> s.Stats.nvm_cas <- s.Stats.nvm_cas + 1);
-  Latency.nvm_write ();
-  charge_remote t
+  match ev with
+  | Hooks.Write -> Stats.bill_nvm_write ~home:t.home
+  | _ -> Stats.bill_nvm_cas ~home:t.home
 
 (** Unconditional store.  Versions stay monotone under concurrency. *)
 let store t v =
@@ -556,19 +559,13 @@ let flush t =
             ~seq:(Atomic.get (current_atomic t)).ver
     | Some l ->
         Hooks.persist_point Hooks.Flush;
-        let s = Stats.get () in
-        s.Stats.flush <- s.Stats.flush + 1;
-        Latency.flush ();
-        charge_remote t;
+        Stats.bill_flush ~home:t.home;
         Region.mark_line_flushed t.region l;
         if !Hooks.access_on then
           announce t Hooks.A_flush ~seq:(Atomic.get (current_atomic t)).ver
     | None ->
         Hooks.persist_point Hooks.Flush;
-        let s = Stats.get () in
-        s.Stats.flush <- s.Stats.flush + 1;
-        Latency.flush ();
-        charge_remote t;
+        Stats.bill_flush ~home:t.home;
         let snapshot = Atomic.get (current_atomic t) in
         Region.add_pending t.region (fun () -> persist_monotone t snapshot);
         if !Hooks.access_on then announce t Hooks.A_flush ~seq:snapshot.ver
@@ -582,10 +579,7 @@ let flush_snapshot t snapshot =
   if Region.elision t.region && media_covers t snapshot then elide t snapshot
   else begin
     Hooks.persist_point Hooks.Flush;
-    let s = Stats.get () in
-    s.Stats.flush <- s.Stats.flush + 1;
-    Latency.flush ();
-    charge_remote t;
+    Stats.bill_flush ~home:t.home;
     Region.add_pending t.region (fun () -> persist_monotone t snapshot);
     if !Hooks.access_on then announce t Hooks.A_flush ~seq:snapshot.ver
   end;
@@ -643,11 +637,10 @@ let peek_entry t = Atomic.get (current_atomic t)
 
 let peek t = (peek_entry t).v
 
-let history_length t =
+let front t =
   match t.media with
-  | Newest _ -> Option.fold ~none:0 ~some:(fun _ -> 1) (persisted_entry t)
-  | Front _ as m -> List.length (Atomic.get (front_atomic m))
-  | Lost_strict | Lost_buffered -> 0
+  | Front _ as m -> Atomic.get (front_atomic m)
+  | Newest _ | Lost_strict | Lost_buffered -> []
 
 let region t = t.region
 let uid t = t.uid

@@ -9,9 +9,9 @@
     double-word cell: the version is the Mirror sequence number.  Writes
     dirty the line; {!flush} records a write-back that {!Region.fence}
     commits; a {!Region.crash} discards everything not committed (modulo
-    the crash policy's eviction probability).  All accesses charge
-    {!Stats} events and {!Latency} costs, and yield to the deterministic
-    scheduler. *)
+    the crash policy's eviction probability).  Every access is billed
+    through {!Stats} (its counter and its {!Latency} cost) and yields to
+    the deterministic scheduler. *)
 
 type 'a entry = private { v : 'a; ver : int; mutable ep : int }
 (** One write: the value, the slot's version after the write ([0] at
@@ -27,6 +27,13 @@ type 'a birth
     ({!cas_entry} only takes a [desired] with [ver >= 1]). *)
 
 val birth : 'a -> 'a birth
+
+type 'a buffered_birth
+(** A birth in the one-element media history of a buffered slot persisted
+    at birth: every slot made from it ({!make_buffered_replica}) shares
+    that one history until its first write-back replaces it. *)
+
+val buffered_birth : 'a -> 'a buffered_birth
 
 type 'a t
 
@@ -62,14 +69,19 @@ val make_replica :
   'a birth ->
   'a t
 (** The persistent replica of Mirror pair [pair]: as {!make_born}, and
-    [pair] is recorded for access-event attribution.  With [persist] the
-    allocation-time copy is also billed to NVMM as one write + one flush
-    in the substrate's {!Stats}/{!Latency} accounting — the pair's
-    allocator wrote and wrote back this line before handing it out; each
-    slot pays its own copy, shared birth or not.  When
+    [pair] is recorded for access-event attribution ([-1]: a persistent
+    field outside any pair, as the general transformations allocate).
+    With [persist] the allocation-time copy is also billed through
+    {!Stats} as one NVMM write + one flush — the allocator wrote and
+    wrote back this line before handing it out; each slot pays its own
+    copy, shared birth or not.  When
     the birth line is already in flight the birth write-back coalesces:
     it is billed as {!Stats.t.flush_coalesced} and rides the pending line
     flush. *)
+
+val make_buffered_replica : pair:int -> Region.t -> 'a buffered_birth -> 'a t
+(** The persisted buffered replica: {!make_replica} [~buffered:true
+    ~persist:true] is this over a birth of its own. *)
 
 val load : 'a t -> 'a
 (** Load from NVMM, paying the NVMM read cost. *)
@@ -139,10 +151,10 @@ val durable_value : 'a t -> 'a option
     persisted entry whose epoch is committed ([<= Region.durable_epoch]).
     Equals {!persisted_value} on strict slots. *)
 
-val history_length : 'a t -> int
-(** Entries in the persisted media history (introspection): at most one on
-    a strict slot; on a buffered slot at most the newest committed entry
-    plus the entries of uncommitted epochs. *)
+val front : 'a t -> 'a entry list
+(** A buffered slot's persisted media history, newest first
+    (introspection): at most the newest committed entry plus the entries
+    of uncommitted epochs.  [[]] on a strict or lost slot. *)
 
 val peek : 'a t -> 'a
 (** The coherent view without cost accounting — tests and recovery only. *)

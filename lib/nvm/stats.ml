@@ -207,6 +207,64 @@ let get () =
     match Array.unsafe_get a d with Some t -> t | None -> register d
   else register d
 
+(* -- billing: the one place an access is billed (see the interface).
+   With injection off and the surcharge at 0, [Latency.active] is false
+   and a bill is its counter bump; the bills are inlined, so a call site
+   pays no more than the bump it replaces. *)
+
+let local = -1
+
+let slow ns home =
+  let inject = Latency.is_enabled () and remote = Latency.numa_remote_ns () in
+  if inject then Latency.spin_ns ns;
+  if home <> local && remote > 0 && Hooks.tid () <> home then begin
+    let s = get () in
+    s.nvm_remote <- s.nvm_remote + 1;
+    if inject then Latency.spin_ns remote
+  end
+
+let[@inline] bill_dram_read () =
+  let s = get () in
+  s.dram_read <- s.dram_read + 1;
+  if Latency.active () then slow (Latency.get_config ()).dram_read_ns local
+
+let[@inline] bill_dram_write () =
+  let s = get () in
+  s.dram_write <- s.dram_write + 1
+
+let[@inline] bill_dram_cas () =
+  let s = get () in
+  s.dram_cas <- s.dram_cas + 1
+
+let[@inline] bill_nvm_read ~home =
+  let s = get () in
+  s.nvm_read <- s.nvm_read + 1;
+  if Latency.active () then slow (Latency.get_config ()).nvm_read_ns home
+
+let[@inline] bill_nvm_write ~home =
+  let s = get () in
+  s.nvm_write <- s.nvm_write + 1;
+  if Latency.active () then slow (Latency.get_config ()).nvm_write_ns home
+
+let[@inline] bill_nvm_cas ~home =
+  let s = get () in
+  s.nvm_cas <- s.nvm_cas + 1;
+  if Latency.active () then slow (Latency.get_config ()).nvm_write_ns home
+
+let[@inline] bill_flush ~home =
+  let s = get () in
+  s.flush <- s.flush + 1;
+  if Latency.active () then slow (Latency.get_config ()).flush_ns home
+
+let[@inline] bill_fence () =
+  let s = get () in
+  s.fence <- s.fence + 1;
+  if Latency.active () then slow (Latency.get_config ()).fence_ns local
+
+let count_alloc () =
+  let s = get () in
+  s.alloc <- s.alloc + 1
+
 (** Sum of all domains' counters since the last {!reset_all}. *)
 let total () =
   let acc = zero () in

@@ -46,6 +46,32 @@ val clear : t -> unit
 val get : unit -> t
 (** The calling domain's counter record. *)
 
+(** {2 Billing}
+
+    The only place an access is billed.  Each [bill_*] bumps its own
+    counter and injects that access's configured {!Latency} cost (an
+    NVMM CAS costs a write; DRAM writes and CASes cost nothing).  An NVMM
+    access names the [home] domain of its memory: when the
+    {!Latency.numa_remote_ns} surcharge is on and [home] is not the
+    accessing {!Hooks.tid}, it also bumps [nvm_remote] and injects the
+    surcharge.  With injection off and the surcharge at 0 (the default),
+    a bill moves exactly its own counter. *)
+
+val local : int
+(** The [home] of memory never billed the NUMA surcharge. *)
+
+val bill_dram_read : unit -> unit
+val bill_dram_write : unit -> unit
+val bill_dram_cas : unit -> unit
+val bill_nvm_read : home:int -> unit
+val bill_nvm_write : home:int -> unit
+val bill_nvm_cas : home:int -> unit
+val bill_flush : home:int -> unit
+val bill_fence : unit -> unit
+
+val count_alloc : unit -> unit
+(** Record one object allocation ([alloc]). *)
+
 val total : unit -> t
 (** Sum over all domains since the last {!reset_all}. *)
 

@@ -403,8 +403,7 @@ let refill_from_pool t a cls =
 let finish_alloc t a payload =
   Bytes.set t.state payload '\001';
   a.a_allocs <- a.a_allocs + 1;
-  let s = Stats.get () in
-  s.Stats.alloc <- s.Stats.alloc + 1;
+  Stats.count_alloc ();
   payload
 
 let rec alloc_in t a cls =

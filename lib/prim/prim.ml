@@ -84,13 +84,6 @@ module type REGION = sig
   val region : Region.t
 end
 
-(* Charge the allocation-time copy-to-NVMM + clwb of one field, as
-   Patomic.make does, so all persistent strategies are costed alike. *)
-let charge_alloc_field () =
-  let s = Stats.get () in
-  s.Stats.nvm_write <- s.Stats.nvm_write + 1;
-  s.Stats.flush <- s.Stats.flush + 1
-
 (* fetch_add on top of the instance's own load/cas. *)
 module Faa (P : sig
   type 'a t
@@ -122,23 +115,19 @@ module Volatile_dram (R : REGION) : S = struct
 
   let load t =
     Hooks.yield ();
-    let s = Stats.get () in
-    s.Stats.dram_read <- s.Stats.dram_read + 1;
-    Latency.dram_read ();
+    Stats.bill_dram_read ();
     Atomic.get t
 
   let load_t = load
 
   let store t v =
     Hooks.yield ();
-    let s = Stats.get () in
-    s.Stats.dram_write <- s.Stats.dram_write + 1;
+    Stats.bill_dram_write ();
     Atomic.set t v
 
   let cas t ~expected ~desired =
     Hooks.yield ();
-    let s = Stats.get () in
-    s.Stats.dram_cas <- s.Stats.dram_cas + 1;
+    Stats.bill_dram_cas ();
     Atomic.compare_and_set t expected desired
 
   include Faa (struct
@@ -206,9 +195,11 @@ end) : S with type 'a t = 'a Slot.t = struct
 
   let birth = Slot.birth
 
+  (* the allocation-time copy-to-NVMM + clwb of the field is billed by
+     the substrate, as for a Mirror variable's persistent replica, so all
+     persistent strategies are costed alike *)
   let make_born b =
-    charge_alloc_field ();
-    Slot.make_born ~persist:true region b
+    Slot.make_replica ~pair:(-1) ~buffered:false ~persist:true region b
 
   let make v = make_born (birth v)
   let make_near_born _ b = make_born b
@@ -275,41 +266,9 @@ end
 
 (* -- Mirror ---------------------------------------------------------------- *)
 
-module Make_mirror (C : sig
-  include REGION
-
-  val placement : Mirror_core.Patomic.placement
-  val discipline : Mirror_core.Patomic.discipline
-  val name : string
-end) : S = struct
-  let name = C.name
-  let region = C.region
-
+(* The operations every Mirror strategy shares: only allocation differs. *)
+module Mirror_ops = struct
   type 'a t = 'a Mirror_core.Patomic.t
-  type 'a birth = 'a Slot.birth
-
-  let birth = Slot.birth
-
-  let make_born b =
-    Mirror_core.Patomic.make_born ~placement:C.placement
-      ~discipline:C.discipline ~persist:true region b
-
-  let make v = make_born (birth v)
-
-  (* co-locate the new field with [near]'s persistent replica: on
-     line-granular regions the fields then share one write-back, turning a
-     multi-field insert's N flushes into 1 (docs/MODEL.md, "Line
-     granularity") *)
-  let make_near_born near b =
-    match C.discipline with
-    | Mirror_core.Patomic.Buffered -> make_born b
-    | Mirror_core.Patomic.Strict ->
-        Mirror_core.Patomic.make_born ~placement:C.placement
-          ~discipline:C.discipline ~persist:true
-          ?line:(Region.place_near region (Mirror_core.Patomic.line near))
-          region b
-
-  let make_near near v = make_near_born near (birth v)
 
   let load t = Mirror_core.Patomic.load t
   let load_t = load
@@ -321,26 +280,67 @@ end) : S = struct
   let load_recovery t = Mirror_core.Patomic.load_recovery t
 end
 
+module Make_mirror (C : sig
+  include REGION
+
+  val placement : Mirror_core.Patomic.placement
+  val name : string
+end) : S = struct
+  include Mirror_ops
+
+  let name = C.name
+  let region = C.region
+
+  type 'a birth = 'a Slot.birth
+
+  let birth = Slot.birth
+
+  let make_born b =
+    Mirror_core.Patomic.make_born ~placement:C.placement ~persist:true region b
+
+  let make v = make_born (birth v)
+
+  (* co-locate the new field with [near]'s persistent replica: on
+     line-granular regions the fields then share one write-back, turning a
+     multi-field insert's N flushes into 1 (docs/MODEL.md, "Line
+     granularity") *)
+  let make_near_born near b =
+    Mirror_core.Patomic.make_born ~placement:C.placement ~persist:true
+      ?line:(Region.place_near region (Mirror_core.Patomic.line near))
+      region b
+
+  let make_near near v = make_near_born near (birth v)
+end
+
 module Mirror_dram (R : REGION) : S = Make_mirror (struct
   let region = R.region
   let placement = Mirror_core.Patomic.Dram
-  let discipline = Mirror_core.Patomic.Strict
   let name = "mirror"
 end)
 
 module Mirror_nvmm (R : REGION) : S = Make_mirror (struct
   let region = R.region
   let placement = Mirror_core.Patomic.Nvmm
-  let discipline = Mirror_core.Patomic.Strict
   let name = "mirror-nvmm"
 end)
 
-module Mirror_buffered (R : REGION) : S = Make_mirror (struct
-  let region = R.region
-  let placement = Mirror_core.Patomic.Dram
-  let discipline = Mirror_core.Patomic.Buffered
+(* Buffered variables persist through the epoch clock and take no line,
+   and a birth carries its one-element media history: fields born alike
+   share it until their first write-back. *)
+module Mirror_buffered (R : REGION) : S = struct
+  include Mirror_ops
+
   let name = "buffered"
-end)
+  let region = R.region
+
+  type 'a birth = 'a Slot.buffered_birth
+
+  let birth = Slot.buffered_birth
+  let make_born b = Mirror_core.Patomic.make_buffered_born region b
+  let make v = make_born (birth v)
+  let make_near_born _ b = make_born b
+  let make_near near v = make_near_born near (birth v)
+end
 
 (** All seven strategies over a region, for harness enumeration. *)
 let all_for (region : Region.t) : pack list =

@@ -20,7 +20,10 @@
       lib/nvmheap, lib/psan, lib/mcheck).  Region {e lifecycle} calls
       ([create]/[crash]/[begin_recovery]/[mark_recovered]/[quiesce]/
       epoch observers) stay legal everywhere: the harness and the
-      examples drive crashes by design.
+      examples drive crashes by design.  Outside lib/nvm, an access is
+      billed only through the [Stats.bill_*] functions: a write to an
+      access counter of [Stats] (such as [nvm_read]) or a call to a
+      per-event [Latency] charge is flagged too.
     - {b L2} phase discipline — [P.load_t] is traversal-only: a traversal
       load appearing after the first [P.store]/[P.cas]/[P.fetch_add] of
       the same function body is flagged.
@@ -91,7 +94,8 @@ let tier_name = function Error -> "error" | Warning -> "warning"
 let rule_doc = function
   | L1 ->
       "substrate encapsulation: no direct Slot./data-plane Region. access \
-       outside lib/{nvm,core,nvmheap,psan,mcheck}"
+       outside lib/{nvm,core,nvmheap,psan,mcheck}; no access-counter write \
+       or Latency charge outside lib/nvm"
   | L2 ->
       "phase discipline: P.load_t is traversal-only -- no traversal load \
        after the function's first write/CAS"
@@ -152,6 +156,23 @@ let under dir rel =
   && (rel.[n] = '/' || rel.[n] = Filename.dir_sep.[0])
 
 let owns_substrate rel = List.exists (fun d -> under d rel) substrate_owners
+
+(* Outside lib/nvm an access is billed only through [Stats.bill_*], which
+   pairs its counter with its latency: no hand-written bump of one of
+   these counters, no call of the [Latency] charge of the same name (or
+   of [Latency.remote]). *)
+let bills_by_hand rel = under "lib/nvm" rel
+
+let access_counters =
+  [
+    "dram_read"; "dram_write"; "dram_cas"; "nvm_read"; "nvm_write"; "nvm_cas";
+    "nvm_remote"; "flush"; "fence";
+  ]
+
+let hand_billed =
+  "access billed by hand outside lib/nvm: go through Stats.bill_*, which \
+   pairs the counter with its latency"
+
 let deterministic rel = List.exists (fun d -> under d rel) deterministic_dirs
 let cast_checked rel = List.exists (fun d -> under d rel) cast_dirs
 
@@ -415,6 +436,12 @@ let rec check_ident ctx ~allow lid (loc : Location.t) =
          "data-plane Region access outside the substrate-owning libraries; \
           only lifecycle calls (create/crash/recovery/epoch observers) are \
           legal here");
+  if
+    (not (bills_by_hand ctx.rel))
+    && n >= 2
+    && List.nth parts (n - 2) = "Latency"
+    && List.mem (List.nth parts (n - 1)) ("remote" :: access_counters)
+  then emit ctx ~allow L1 loc (String.concat "." parts) hand_billed;
   (* L7: [Obj.magic] outside a pragma *)
   if cast_checked ctx.rel && ends_with ~suffix:[ "Obj"; "magic" ] parts then
     emit ctx ~allow L7 loc
@@ -712,7 +739,13 @@ and walk ctx ~allow ~fname ~trav st e : eff =
       seq st es
   | Pexp_tuple es | Pexp_array es -> seq st es
   | Pexp_field (b, _) -> seq st [ b ]
-  | Pexp_setfield (a, _, b) -> seq st [ a; b ]
+  | Pexp_setfield (a, { txt = field; loc }, b) ->
+      (match List.rev (lid_parts field) with
+      | f :: "Stats" :: _
+        when (not (bills_by_hand ctx.rel)) && List.mem f access_counters ->
+          emit ctx ~allow L1 loc (snip e) hand_billed
+      | _ -> ());
+      seq st [ a; b ]
   | Pexp_assert a | Pexp_lazy a -> seq st [ a ]
   | Pexp_while (c, b) -> seq st [ c; b ]
   | Pexp_for (_, a, b, _, body) -> seq st [ a; b; body ]

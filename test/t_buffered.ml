@@ -249,7 +249,7 @@ let test_history_bounded () =
     Region.help_advance r;
     Array.iter
       (fun s ->
-        let n = Slot.history_length s in
+        let n = List.length (Slot.front s) in
         check (n <= 2)
           (Printf.sprintf "advance %d: history has %d entries" i n))
       slots

@@ -288,11 +288,71 @@ let test_strict_config () =
   Alcotest.(check int) "unset falls back" 42
     (Latency.env_int "MIRROR_TEST_UNSET_VARIABLE" 42)
 
+(* Buffered slots born from one buffered birth start on the birth's one
+   media history and share it until a write-back replaces one's.  The
+   sharing is invisible otherwise: the same writes give the same durable
+   cut and the same crash rollback as on slots with histories of their
+   own. *)
+let test_buffered_birth_shared () =
+  let observe make =
+    let r = Region.create ~track_slots:true ~epoch_len:64 () in
+    let a, b = make r in
+    let seen = ref [] in
+    let note () =
+      seen :=
+        (Slot.durable_value a, Slot.durable_value b, Slot.peek a, Slot.peek b)
+        :: !seen
+    in
+    note ();
+    Slot.store a 6;
+    Slot.persist_deferred a;
+    Region.help_advance r;
+    note ();
+    Slot.store b 7;
+    Slot.persist_deferred b;
+    note ();
+    Region.crash r;
+    Region.mark_recovered r;
+    note ();
+    (a, b, !seen)
+  in
+  let fb = Slot.buffered_birth 5 in
+  let shared r =
+    let a = Slot.make_buffered_replica ~pair:(-1) r fb in
+    let b = Slot.make_buffered_replica ~pair:(-1) r fb in
+    check (Slot.front a == Slot.front b) "born on one history";
+    Slot.store a 6;
+    check (Slot.front a == Slot.front b) "a write alone shares it still";
+    (a, b)
+  in
+  let own r =
+    let a = Slot.make_replica ~pair:(-1) ~buffered:true ~persist:true r
+        (Slot.birth 5)
+    and b = Slot.make_replica ~pair:(-1) ~buffered:true ~persist:true r
+        (Slot.birth 5) in
+    check (Slot.front a != Slot.front b) "own histories";
+    Slot.store a 6;
+    (a, b)
+  in
+  let a, b, seen = observe shared in
+  check (Slot.front a != Slot.front b) "the first write-back diverges";
+  check
+    (match Slot.front b with [ e ] -> e.Slot.ver = 0 | _ -> false)
+    "the slot without a write-back keeps the birth history";
+  let _, _, seen_own = observe own in
+  check (seen = seen_own) "durable cut and rollback as with own histories";
+  match seen with
+  | (_, _, a_now, b_now) :: _ ->
+      check (a_now = 6 && b_now = 5) "the uncommitted write rolled back"
+  | [] -> assert false
+
 let suite =
   [
     ( "nvm",
       [
         Alcotest.test_case "slot basics" `Quick test_slot_basics;
+        Alcotest.test_case "buffered birth shares its history" `Quick
+          test_buffered_birth_shared;
         Alcotest.test_case "cas witness" `Quick test_cas_witness;
         Alcotest.test_case "flush+fence persists" `Quick test_flush_fence_persist;
         Alcotest.test_case "crash drops unflushed" `Quick

@@ -140,6 +140,27 @@ let test_store_durable_at_response () =
       check (P.load_recovery v = 7) (name ^ ": completed store survives"))
     [ "izraelevitz"; "nvtraverse"; "mirror"; "mirror-nvmm" ]
 
+(* allocation: a persisted field's birth copy (one NVMM write + one
+   write-back) is billed alike under every persistent strategy, and not
+   at all by the originals, which persist nothing *)
+let test_birth_copy_costs () =
+  let birth_of name =
+    profile name (fun (module P) -> ignore (P.make 0))
+  in
+  List.iter
+    (fun (name, copies) ->
+      let st = birth_of name in
+      if
+        st.Mirror_nvm.Stats.nvm_write <> copies
+        || st.Mirror_nvm.Stats.flush <> copies
+      then
+        Alcotest.failf "%s birth: nvm_write=%d flush=%d (expected %d/%d)" name
+          st.Mirror_nvm.Stats.nvm_write st.Mirror_nvm.Stats.flush copies copies)
+    [
+      ("orig-dram", 0); ("orig-nvmm", 0); ("izraelevitz", 1); ("nvtraverse", 1);
+      ("mirror", 1); ("mirror-nvmm", 1);
+    ]
+
 let suite =
   [
     ( "prim-costs",
@@ -155,5 +176,6 @@ let suite =
         Alcotest.test_case "fetch_add" `Quick test_faa;
         Alcotest.test_case "store durable at response" `Quick
           test_store_durable_at_response;
+        Alcotest.test_case "birth copy costs" `Quick test_birth_copy_costs;
       ] );
   ]

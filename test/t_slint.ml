@@ -37,6 +37,23 @@ let test_l1 () =
   check_lines "clean inside lib/nvm" S.L1 []
     (analyze ~rel:"lib/nvm/fixture.ml" l1_src)
 
+(* the billing point: outside lib/nvm an access counter moves only
+   through a Stats.bill_* function, even in a substrate owner *)
+let l1_billing_src =
+  {|
+let read s = s.Mirror_nvm.Stats.nvm_read <- s.Mirror_nvm.Stats.nvm_read + 1
+let fence s = s.Stats.fence <- s.Stats.fence + 1
+let spin () = Mirror_nvm.Latency.nvm_write ()
+let billed () = Mirror_nvm.Stats.bill_nvm_read ~home:Mirror_nvm.Stats.local
+let other s = s.Stats.help <- s.Stats.help + 1
+|}
+
+let test_l1_billing () =
+  check_lines "hand billing flagged" S.L1 [ 2; 3; 4 ]
+    (analyze ~rel:"lib/core/fixture.ml" l1_billing_src);
+  check_lines "lib/nvm bills by hand" S.L1 []
+    (analyze ~rel:"lib/nvm/fixture.ml" l1_billing_src)
+
 (* -- L2: phase discipline --------------------------------------------------- *)
 
 let l2_bad =
@@ -368,6 +385,8 @@ let suite =
     ( "slint",
       [
         Alcotest.test_case "L1 substrate fixture + twin" `Quick test_l1;
+        Alcotest.test_case "L1 billing point fixture + twin" `Quick
+          test_l1_billing;
         Alcotest.test_case "L2 phase fixture + twin" `Quick test_l2;
         Alcotest.test_case "L3 NVTraverse failed-remove parity" `Quick
           test_l3;

@@ -87,9 +87,73 @@ let test_disabled_injection_free () =
   Latency.set_enabled false;
   let t0 = Unix.gettimeofday () in
   for _ = 1 to 100_000 do
-    Latency.nvm_read ()
+    Stats.bill_nvm_read ~home:Stats.local
   done;
-  check (Unix.gettimeofday () -. t0 < 0.3) "disabled injection is cheap"
+  check (Unix.gettimeofday () -. t0 < 0.3) "disabled injection is cheap";
+  Stats.reset_all ()
+
+(* Every billing function, the NVMM ones billing memory homed on [home]:
+   (name, is an NVMM kind, the bill, a setter of the counter it moves). *)
+let bills home =
+  let open Stats in
+  [
+    ("dram_read", false, bill_dram_read, fun s n -> s.dram_read <- n);
+    ("dram_write", false, bill_dram_write, fun s n -> s.dram_write <- n);
+    ("dram_cas", false, bill_dram_cas, fun s n -> s.dram_cas <- n);
+    ("nvm_read", true, (fun () -> bill_nvm_read ~home), fun s n -> s.nvm_read <- n);
+    ( "nvm_write",
+      true,
+      (fun () -> bill_nvm_write ~home),
+      fun s n -> s.nvm_write <- n );
+    ("nvm_cas", true, (fun () -> bill_nvm_cas ~home), fun s n -> s.nvm_cas <- n);
+    ("flush", true, (fun () -> bill_flush ~home), fun s n -> s.flush <- n);
+    ("fence", false, bill_fence, fun s n -> s.fence <- n);
+  ]
+
+(* Bill once from a cleared registry; the calling domain's record must
+   equal [expected]. *)
+let bill_once (name, _, bill, _) expected =
+  Stats.reset_all ();
+  bill ();
+  if Stats.get () <> expected then
+    Alcotest.failf "%s: moved %a, expected %a" name Stats.pp (Stats.get ())
+      Stats.pp expected
+
+let test_bill_own_counter () =
+  Latency.set_enabled false;
+  Latency.set_numa_remote_ns 0;
+  check (not (Latency.active ())) "no injection, no surcharge";
+  (* a home other than the billing thread: with the surcharge at 0 it
+     changes nothing *)
+  List.iter
+    (fun ((_, _, _, set) as b) ->
+      let expected = Stats.zero () in
+      set expected 1;
+      bill_once b expected)
+    (bills (Hooks.tid () + 1));
+  Stats.reset_all ()
+
+let test_bill_surcharge () =
+  Latency.set_enabled false;
+  Fun.protect
+    ~finally:(fun () ->
+      Latency.set_numa_remote_ns 0;
+      Stats.reset_all ())
+    (fun () ->
+      Latency.set_numa_remote_ns 40;
+      check (Latency.active ()) "the surcharge takes the slow path";
+      let here = Hooks.tid () in
+      List.iter
+        (fun home ->
+          List.iter
+            (fun ((_, nvmm, _, set) as b) ->
+              let expected = Stats.zero () in
+              set expected 1;
+              if nvmm && home <> here && home <> Stats.local then
+                expected.Stats.nvm_remote <- 1;
+              bill_once b expected)
+            (bills home))
+        [ here + 1; here; Stats.local ])
 
 let suite =
   [
@@ -105,5 +169,9 @@ let suite =
         Alcotest.test_case "latency profiles" `Quick test_latency_profiles;
         Alcotest.test_case "disabled injection free" `Quick
           test_disabled_injection_free;
+        Alcotest.test_case "a bill moves its own counter" `Quick
+          test_bill_own_counter;
+        Alcotest.test_case "a bill of remote NVMM pays the surcharge" `Quick
+          test_bill_surcharge;
       ] );
   ]
