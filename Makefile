@@ -74,19 +74,20 @@ bench-smoke:
 # informational; perfbench/run.py is the benchmark proper.  One figure is
 # a gate: mem_bytes_per_key of kv-read, kv-update and kv-buffered, read
 # from each run's last (JSON) line, must not exceed that workload's
-# ceiling.  It is deterministic to about 0.01 B (440.03 B per key at seed
-# 1, 55 words: two buckets of a 15-word head variable and an array cell,
-# the node, its 15-word `next` variable and the 4-word entry its insert
+# ceiling.  It is deterministic to about 0.01 B (368.03 B per key at seed
+# 1, 46 words: two buckets of a 12-word head variable and an array cell,
+# the node, its 12-word `next` variable and the 4-word entry its insert
 # installed in the predecessor field; every field still holding Nil
 # shares the table's one birth entry), so a layout regression fails here
-# instead of passing silently: a birth entry per field measures 504 B.
-# kv-buffered measures 488.37 B: its Nil-born fields also share the
-# birth's one-element media history (536.37 B with a list per field).
+# instead of passing silently: with 15-word variables it measured
+# 440.03 B.  kv-buffered measures 416.37 B (488.37 B with 15-word
+# variables): its Nil-born fields also share the birth's one-element
+# media history.
 # Each ceiling is its measured value plus 6 B of headroom.  Each run's
 # output lands in $(ARTIFACTS).
 PERFBENCH = ./_build/default/perfbench/bench.exe
-MEM_CEILING_B = 446
-MEM_CEILING_BUFFERED_B = 494
+MEM_CEILING_B = 374
+MEM_CEILING_BUFFERED_B = 422
 
 perfbench-smoke:
 	dune build ./perfbench/bench.exe

@@ -230,9 +230,9 @@ let ablation_recovery_time () =
     Mirror_nvm.Region.crash region;
     let ms = ref 0. in
     Mirror_nvm.Region.recovery_session region (fun () ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Mirror_clock.now_ns () in
         recover ();
-        ms := (Unix.gettimeofday () -. t0) *. 1e3);
+        ms := Mirror_clock.seconds_since t0 *. 1e3);
     !ms
   in
   List.iter

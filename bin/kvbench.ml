@@ -34,12 +34,6 @@ let make_engine name =
   in
   { name; pack }
 
-(* CLOCK_MONOTONIC in nanoseconds, through bechamel's [noalloc] stub:
-   per-op latencies are around a microsecond, below what
-   [Unix.gettimeofday]'s microsecond resolution can tell apart. *)
-let now_ns () = Int64.to_int (Monotonic_clock.clock_linux_get_time ())
-let seconds_since t0 = float_of_int (now_ns () - t0) *. 1e-9
-
 (* one timed phase: [threads] domains each performing [per_thread] ops,
    with per-op latency sampled per domain (monotonic clock around each op,
    merged and sorted once at the end for the percentile columns) *)
@@ -54,9 +48,9 @@ let phase ~threads ~per_thread ~(op : Rng.t -> int -> unit) =
       Domain.cpu_relax ()
     done;
     for j = 1 to per_thread do
-      let t0 = now_ns () in
+      let t0 = Mirror_clock.now_ns () in
       op rng ((i * per_thread) + j);
-      mine.(j - 1) <- seconds_since t0
+      mine.(j - 1) <- Mirror_clock.seconds_since t0
     done
   in
   let doms = Array.init threads (fun i -> Domain.spawn (body i)) in
@@ -64,10 +58,10 @@ let phase ~threads ~per_thread ~(op : Rng.t -> int -> unit) =
     Domain.cpu_relax ()
   done;
   Mirror_nvm.Stats.reset_all ();
-  let t0 = now_ns () in
+  let t0 = Mirror_clock.now_ns () in
   Atomic.set go true;
   Array.iter Domain.join doms;
-  let dt = seconds_since t0 in
+  let dt = Mirror_clock.seconds_since t0 in
   let all = Array.concat (Array.to_list lat) in
   Array.sort compare all;
   (dt, threads * per_thread, all)

@@ -69,7 +69,7 @@ let () =
     output_string oc "test,schedules,pruned,exhausted,crash_replays,ok,forbidden_hits\n";
     csv_out := Some oc
   end;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Mirror_clock.now_ns () in
   let failed = ref 0 in
   List.iter
     (fun t ->
@@ -82,5 +82,5 @@ let () =
   Format.printf "%d/%d litmus tests ok (%.1fs)@."
     (List.length tests - !failed)
     (List.length tests)
-    (Unix.gettimeofday () -. t0);
+    (Mirror_clock.seconds_since t0);
   exit (if !failed > 0 then 1 else 0)

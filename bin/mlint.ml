@@ -72,7 +72,7 @@ let main root baseline_path csv strict list_rules =
     0
   end
   else begin
-    let t0 = Unix.gettimeofday () in
+    let t0 = Mirror_clock.now_ns () in
     let files =
       List.concat_map
         (fun d ->
@@ -157,7 +157,7 @@ let main root baseline_path csv strict list_rules =
               (S.tier_name (S.tier r)) n s b w)
           S.all_rules;
         close_out oc);
-    let dt = (Unix.gettimeofday () -. t0) *. 1000. in
+    let dt = Mirror_clock.seconds_since t0 *. 1000. in
     Printf.printf
       "mlint: %d files, %d new error(s), %d baselined, %d suppressed by \
        pragma, %d warning(s) in %.0f ms\n"

@@ -185,9 +185,9 @@ let buffered_checks ~seeds =
 (* -- 3. overhead ------------------------------------------------------------ *)
 
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Mirror_clock.now_ns () in
   f ();
-  Unix.gettimeofday () -. t0
+  Mirror_clock.seconds_since t0
 
 (* Timed baseline/sanitized pairs (odd, so each median is one pass): one
    pass of each is ~0.05 s, too short to time once under load. *)

@@ -19,13 +19,16 @@
     record ({!repv_atomic}), so a read is one dependent load fewer than
     through a separate [Atomic.t] box.
 
-    Each fact of a variable is stored once: the record holds [repv], the
-    replica state, the region and [repp] (5 words); the pair id and the
-    discipline are read from [repp]'s slot.  A strict variable is 19
-    words in all: this record, the slot (8), its media block (2) and the
-    shared entry (4).  Variables born with one value may start on one
-    {!Mirror_nvm.Slot.birth} ({!make_born}): each is then 15 words plus
-    its share of the birth's 4.
+    The variable is a block of two fields, [repv] and [repp] (3 words with
+    its header); every other fact of it lives where it is stored anyway.
+    The placement is the block's constructor tag; the region, the pair id
+    (the persistent replica's slot uid) and the discipline are read from
+    [repp]'s slot; and "not recovered since the last crash" is a
+    negative version on the [repv] entry ({!Mirror_nvm.Slot.stale}).  A
+    strict variable is 16 words in all: this block, the slot (7), its
+    media block (2) and the shared entry (4).  Variables born with one
+    value may start on one {!Mirror_nvm.Slot.birth} ({!make_born}): each
+    is then 12 words plus its share of the birth's 4.
 
     Invariants maintained (proved as Lemmas 5.3–5.5 in the paper, checked by
     the test suite under deterministic interleavings):
@@ -53,78 +56,65 @@ type discipline =
           epoch.  Recovery rolls back to the last committed epoch —
           buffered durable linearizability (bounded staleness). *)
 
-(* Where the volatile replica lives, and whether it is live: a crash
-   turns a live state into its stale twin and recovery turns it back, so
-   the placement survives both. *)
-type replica = Live_dram | Live_nvmm | Stale_dram | Stale_nvmm
-
-type 'a t = {
-  mutable repv : 'a Slot.entry;
-      (** the volatile replica.  Must stay field 0 and must only be
-          accessed through {!repv_atomic}. *)
-  mutable replica : replica;
-      (** written only while the region is down, when no other domain
-          runs.  Sits next to [region]: {!load} reads both. *)
-  region : Region.t;
-  repp : 'a Slot.t;
-}
+(* The constructor is the placement of the volatile replica. *)
+type 'a t =
+  | Dram of {
+      mutable repv : 'a Slot.entry;
+          (** the volatile replica.  Must stay field 0 and must only be
+              accessed through {!repv_atomic}.  A crash on a tracked
+              region replaces it with a stale copy (negative [ver]);
+              recovery installs the persisted entry. *)
+      repp : 'a Slot.t;
+    }
+  | Nvmm of { mutable repv : 'a Slot.entry; repp : 'a Slot.t }
 
 (* OCaml 5.1's [Atomic] primitives act on field 0 of the block they are
-   given, so viewing the record as an [Atomic.t] makes [repv] an atomic
+   given, so viewing the variable as an [Atomic.t] makes [repv] an atomic
    field in place — the 5.1 spelling of a 5.4 [[@atomic]] record field. *)
 external repv_atomic : 'a t -> 'a Slot.entry Atomic.t = "%identity"
-[@@mlint.allow L7 "repv is field 0 of a mutable record"]
+[@@mlint.allow L7 "repv is field 0 of both constructors' mutable records"]
 
-let next_uid = Atomic.make 0
+let repp = function Dram r -> r.repp | Nvmm r -> r.repp
 
+(* A crash: the volatile replica is gone.  Its stale copy keeps the
+   value for introspection and refuses every access until {!recover}. *)
 let invalidate t =
-  t.replica <-
-    (match t.replica with
-    | Live_dram | Stale_dram -> Stale_dram
-    | Live_nvmm | Stale_nvmm -> Stale_nvmm)
-
-let revalidate t =
-  t.replica <-
-    (match t.replica with
-    | Live_dram | Stale_dram -> Live_dram
-    | Live_nvmm | Stale_nvmm -> Live_nvmm)
+  Atomic.set (repv_atomic t) (Slot.stale (Atomic.get (repv_atomic t)))
 
 (* Volatile-replica access events: attributed to the persistent replica's
    slot uid so a slot's event trace shows the whole pair's history.  Call
    sites gate on [Hooks.access_on]. *)
 let announce_repv t op ~seq =
+  let repp = repp t in
   Hooks.access_point
     {
       Hooks.a_op = op;
-      a_slot = Slot.uid t.repp;
-      a_pair = Slot.pair t.repp;
-      a_region = Region.id t.region;
+      a_slot = Slot.uid repp;
+      a_pair = Slot.pair repp;
+      a_region = Region.id (Slot.region repp);
       a_domain = (Domain.self () :> int);
       a_tid = Hooks.tid ();
       a_seq = seq;
       a_line =
-        (match Slot.line t.repp with
+        (match Slot.line repp with
         | Some l -> Region.line_uid l
         | None -> -1);
       a_protocol = Hooks.in_protocol ();
     }
 
 (* The variable over its freshly made persistent replica. *)
-let of_repp placement region repp =
+let of_repp (placement : placement) region repp =
+  let repv = Slot.peek_entry repp in
   let t =
-    {
-      repv = Slot.peek_entry repp;
-      replica = (match placement with Dram -> Live_dram | Nvmm -> Live_nvmm);
-      region;
-      repp;
-    }
+    match placement with
+    | Dram -> Dram { repv; repp }
+    | Nvmm -> Nvmm { repv; repp }
   in
   Region.register_volatile region invalidate t;
   t
 
-let make_born ?(placement = Dram) ?(discipline = Strict) ?(persist = true)
-    ?line region b =
-  let uid = Atomic.fetch_and_add next_uid 1 in
+let make_born ?(placement = (Dram : placement)) ?(discipline = Strict)
+    ?(persist = true) ?line region b =
   (* cache-line placement (line granularity, docs/MODEL.md): strict repp
      slots are carved from a line — the caller's ([make_near]'s) if given,
      else a fresh one — so an object's fields can share write-backs.
@@ -141,39 +131,40 @@ let make_born ?(placement = Dram) ?(discipline = Strict) ?(persist = true)
      sanitizer's event stream see the same make the cost belongs to; the
      ordering fence is folded into the next protocol fence *)
   of_repp placement region
-    (Slot.make_replica ~pair:uid ~buffered:(discipline = Buffered) ~persist
-       ?line region b)
+    (Slot.make_replica ~paired:true ~buffered:(discipline = Buffered)
+       ~persist ?line region b)
 
 let make ?placement ?discipline ?persist ?line region v =
   make_born ?placement ?discipline ?persist ?line region (Slot.birth v)
 
 let make_buffered_born region b =
-  let uid = Atomic.fetch_and_add next_uid 1 in
-  of_repp Dram region (Slot.make_buffered_replica ~pair:uid region b)
+  of_repp Dram region (Slot.make_buffered_replica ~paired:true region b)
 
+(* Refuse an access before anything is billed: while a region is down
+   (its count is one word, so a live variable's check never reads its
+   slot), and on a stale [repv] — a crash invalidated it and recovery did
+   not reach it. *)
 let check t =
-  Region.check_up t.region;
-  match t.replica with
-  | Stale_dram | Stale_nvmm ->
-      invalid_arg
-        "Patomic: access to a variable that was not recovered after a crash \
-         (the tracing routine did not reach it)"
-  | Live_dram | Live_nvmm -> ()
+  if Region.any_down () then Region.check_up (Slot.region (repp t));
+  if (Atomic.get (repv_atomic t)).ver < 0 then
+    invalid_arg
+      "Patomic: access to a variable that was not recovered after a crash \
+       (the tracing routine did not reach it)"
 
 let read_repv t =
   Hooks.yield ();
-  (match t.replica with
-  | Live_dram | Stale_dram -> Stats.bill_dram_read ()
-  | Live_nvmm | Stale_nvmm -> Stats.bill_nvm_read ~home:Stats.local);
+  (match t with
+  | Dram _ -> Stats.bill_dram_read ()
+  | Nvmm _ -> Stats.bill_nvm_read ~home:Stats.local);
   let c = Atomic.get (repv_atomic t) in
   if !Hooks.access_on then announce_repv t Hooks.A_load_repv ~seq:c.ver;
   c
 
 let write_repv t ~expected ~desired =
   Hooks.yield ();
-  (match t.replica with
-  | Live_dram | Stale_dram -> Stats.bill_dram_cas ()
-  | Live_nvmm | Stale_nvmm -> Stats.bill_nvm_cas ~home:Stats.local);
+  (match t with
+  | Dram _ -> Stats.bill_dram_cas ()
+  | Nvmm _ -> Stats.bill_nvm_cas ~home:Stats.local);
   (* double-word CAS on the volatile replica: the blocks are the cells *)
   let ok = Atomic.compare_and_set (repv_atomic t) expected desired in
   if ok && !Hooks.access_on then
@@ -199,10 +190,11 @@ let load t =
    durable {e or} belongs to an epoch younger than the durable cut", which
    is exactly buffered durable linearizability. *)
 let persist_repp t =
-  if Slot.buffered t.repp then Slot.persist_deferred t.repp
+  let repp = repp t in
+  if Slot.buffered repp then Slot.persist_deferred repp
   else begin
-    Slot.flush t.repp;
-    Region.fence t.region
+    Slot.flush repp;
+    Region.fence (Slot.region repp)
   end
 
 (** Figure 4, returning only the witness: the value found in memory —
@@ -215,7 +207,7 @@ let rec witness_body t ~(expected : 'a) ~(desired : 'a) : 'a =
   (* read repp then repv (lines 5–16; the seq/val/seq re-read of the paper is
      subsumed by the atomic cell read) *)
   Hooks.yield ();
-  let pc = Slot.load_entry t.repp in
+  let pc = Slot.load_entry (repp t) in
   let vc = read_repv t in
   if pc.ver = vc.ver + 1 then begin
     (* lines 19–26: help an ongoing write: persist repp, then mirror it *)
@@ -234,7 +226,7 @@ let rec witness_body t ~(expected : 'a) ~(desired : 'a) : 'a =
   else begin
     (* lines 38–49: update repp first, persist, then mirror into repv *)
     let after = Slot.next_entry pc desired in
-    let wit = Slot.cas_entry t.repp ~expected:pc ~desired:after in
+    let wit = Slot.cas_entry (repp t) ~expected:pc ~desired:after in
     persist_repp t;
     if wit == pc then begin
       ignore (write_repv t ~expected:vc ~desired:after);
@@ -303,38 +295,40 @@ let recover t =
      --crash-in-recovery mode cuts recovery here, leaving this variable
      (and everything the tracer had not reached) unrestored *)
   Hooks.recovery_point Hooks.R_trace;
-  if Slot.is_lost t.repp then
+  let repp = repp t in
+  if Slot.is_lost repp then
     invalid_arg "Patomic.recover: persistent replica was never persisted";
-  (* both replicas point at one entry whenever the variable's last write
-     persisted, which after a quiesced crash is every variable: writing
-     it again would only pay [Atomic.set]'s write barrier, a darkening of
-     the old entry while the collector marks *)
-  let e = Slot.peek_entry t.repp in
-  if Atomic.get (repv_atomic t) != e then Atomic.set (repv_atomic t) e;
-  revalidate t
+  (* on an untracked region, which invalidates nothing, both replicas
+     point at one entry whenever the variable's last write persisted —
+     after a quiesced crash, every variable: writing it again would only
+     pay [Atomic.set]'s write barrier, a darkening of the old entry while
+     the collector marks *)
+  let e = Slot.peek_entry repp in
+  if Atomic.get (repv_atomic t) != e then Atomic.set (repv_atomic t) e
 
 (** Read from the persistent space during recovery (the region is down, the
     volatile replica may not be restored yet). *)
 let load_recovery t =
-  if Slot.is_lost t.repp then
+  let repp = repp t in
+  if Slot.is_lost repp then
     invalid_arg "Patomic.load_recovery: unrecoverable slot";
-  Slot.peek t.repp
+  Slot.peek repp
 
 (* -- introspection (tests, invariant checking) --------------------------- *)
 
-let discipline t = if Slot.buffered t.repp then Buffered else Strict
-let line t = Slot.line t.repp
+let discipline t = if Slot.buffered (repp t) then Buffered else Strict
+let line t = Slot.line (repp t)
 let entry_v t = Atomic.get (repv_atomic t)
-let entry_p t = Slot.peek_entry t.repp
+let entry_p t = Slot.peek_entry (repp t)
 let seq_v t = (entry_v t).ver
 let seq_p t = (entry_p t).ver
 
 let persisted_seq t =
-  Option.map (fun (e : _ Slot.entry) -> e.ver) (Slot.persisted_entry t.repp)
+  Option.map (fun (e : _ Slot.entry) -> e.ver) (Slot.persisted_entry (repp t))
 
-let persisted_value t = Slot.persisted_value t.repp
+let persisted_value t = Slot.persisted_value (repp t)
 let peek_v t = (entry_v t).v
-let peek_p t = Slot.peek t.repp
+let peek_p t = Slot.peek (repp t)
 
 (** The durability invariant, safe to sample concurrently: sequence numbers
     only grow, so reading [repv] first and the persisted seq after gives a

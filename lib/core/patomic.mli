@@ -51,7 +51,7 @@ val make_born :
   'a t
 (** {!make} from a birth ({!Mirror_nvm.Slot.birth}) that other variables
     may share: both replicas start on that one entry, so a variable costs
-    15 words instead of 19.  Billing and events are {!make}'s: the
+    12 words instead of 16.  Billing and events are {!make}'s: the
     variable still pays its own allocation-time write + flush and
     announces its own [A_make] at seq 0. *)
 
@@ -61,7 +61,10 @@ val make_buffered_born :
     also shares the birth's media history until its first write-back. *)
 
 val load : 'a t -> 'a
-(** Wait-free read of the volatile replica (Figure 5). *)
+(** Wait-free read of the volatile replica (Figure 5).
+    @raise Invalid_argument while the variable's region is down, or when
+    a crash invalidated the variable and recovery did not reach it; so
+    does every write. *)
 
 val compare_exchange : 'a t -> expected:'a -> desired:'a -> bool * 'a
 (** Figure 4.  Value comparison is physical equality (a hardware word
@@ -77,8 +80,9 @@ val fetch_add : int t -> int -> int
 (** CAS loop returning the previous value; witness-driven like {!store}. *)
 
 val recover : 'a t -> unit
-(** Restore the volatile replica from the persistent one (a replica that
-    already holds the persisted entry is only marked live); called by the
+(** Restore the volatile replica from the persistent one: install the
+    persisted entry, which clears the stale mark a crash left (a replica
+    that already holds that entry is not written); called by the
     structure's tracing routine while the region is down. *)
 
 val load_recovery : 'a t -> 'a
@@ -95,7 +99,8 @@ val line : 'a t -> Mirror_nvm.Region.line option
     one. *)
 
 val entry_v : 'a t -> 'a Mirror_nvm.Slot.entry
-(** The volatile replica's cell. *)
+(** The volatile replica's cell; after a crash and until {!recover}, its
+    stale copy ({!Mirror_nvm.Slot.stale}: negative [ver]). *)
 
 val entry_p : 'a t -> 'a Mirror_nvm.Slot.entry
 (** The persistent replica's current entry. *)

@@ -252,9 +252,9 @@ let sched_runs ~who ~seeds setup =
   for seed = 1 to seeds do
     let region, tasks = setup seed in
     Mirror_nvm.Stats.reset_all ();
-    let t0 = Unix.gettimeofday () in
+    let t0 = Mirror_clock.now_ns () in
     let o = Mirror_schedsim.Sched.run ~seed tasks in
-    wall := !wall +. ((Unix.gettimeofday () -. t0) *. 1e3);
+    wall := !wall +. (Mirror_clock.seconds_since t0 *. 1e3);
     if not o.Mirror_schedsim.Sched.completed then
       failwith (who ^ ": schedsim run did not complete");
     Mirror_nvm.Region.quiesce region;
@@ -486,9 +486,9 @@ let run_recovery_panel ?(shapes = [ Mirror_nvmheap.Shapes.Forest ])
               List.map
                 (fun domains ->
                   (* wall clock with real domains *)
-                  let t0 = Unix.gettimeofday () in
+                  let t0 = Mirror_clock.now_ns () in
                   H.recover ~domains heap ~trace:built.Sh.trace;
-                  let wall_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+                  let wall_ms = Mirror_clock.seconds_since t0 *. 1e3 in
                   let wall_stats = Option.get (H.last_recovery heap) in
                   (* deterministic work split under the cooperative scheduler *)
                   let runner tasks =

@@ -130,16 +130,15 @@ let run ?(seconds = 0.3) ?(seed = 42) ?(llc_bytes = 0)
   while Atomic.get ready < threads do
     Domain.cpu_relax ()
   done;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Mirror_clock.now_ns () in
   Atomic.set go true;
   Unix.sleepf seconds;
   Atomic.set stop true;
   Array.iter Domain.join doms;
-  let t1 = Unix.gettimeofday () in
+  let wall = Mirror_clock.seconds_since t0 in
   Latency.set_enabled false;
   let ops = Array.fold_left ( + ) 0 counts in
   let per_op = per_op_of_stats (Stats.total ()) ~ops in
-  let wall = t1 -. t0 in
   let result =
     {
       algo = S.name;

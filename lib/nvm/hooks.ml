@@ -127,7 +127,9 @@ type access_op =
 type access = {
   a_op : access_op;
   a_slot : int;  (** slot uid; [-1] for fences *)
-  a_pair : int;  (** owning Mirror pair uid; [-1] when not a replica *)
+  a_pair : int;
+      (** owning Mirror pair, named by its persistent replica's slot uid;
+          [-1] when the slot is not a pair's replica *)
   a_region : int;  (** region id *)
   a_domain : int;  (** OS domain of the access *)
   a_tid : int;  (** logical thread ({!tid}) of the access *)

@@ -118,10 +118,9 @@ let calibration_mutex = Mutex.create ()
 
 let calibrate () =
   let target = 5_000_000 in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Mirror_clock.now_ns () in
   spin_iters target;
-  let t1 = Unix.gettimeofday () in
-  let ns = (t1 -. t0) *. 1e9 in
+  let ns = float_of_int (Mirror_clock.now_ns () - t0) in
   let ipn = float_of_int target /. ns in
   if ipn <= 0. then 1.0 else ipn
 

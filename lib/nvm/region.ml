@@ -190,6 +190,12 @@ let announce_fence t op =
       a_protocol = Hooks.in_protocol ();
     }
 
+(* How many regions are down, process-wide: {!crash} counts a region in
+   and {!mark_recovered} counts it out.  An access path tests this one
+   word and looks at its own region only while some region is down. *)
+let down_regions = Atomic.make 0
+let any_down () = Atomic.get down_regions <> 0
+
 let check_up t =
   if t.down then
     invalid_arg
@@ -591,6 +597,7 @@ let maybe_evict t (persist : unit -> unit) =
 let crash ?(policy = Adversarial) t =
   Mutex.lock t.mutex;
   t.crashes <- t.crashes + 1;
+  if not t.down then Atomic.incr down_regions;
   t.down <- true;
   let survive () =
     match policy with
@@ -664,6 +671,7 @@ let mark_recovered t =
   if t.recovery_epoch land 1 = 1 then
     t.recovery_epoch <- t.recovery_epoch + 1;
   t.in_recovery_session <- false;
+  if t.down then Atomic.decr down_regions;
   t.down <- false
 
 (** The recovery protocol every crash harness runs: {!begin_recovery}, then

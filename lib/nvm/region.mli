@@ -58,6 +58,11 @@ val crash_count : t -> int
 val elision : t -> bool
 (** Whether elision mode is on. *)
 
+val any_down : unit -> bool
+(** Whether any region of the process is down: a count {!crash} and
+    {!mark_recovered} keep.  Access paths test it before {!check_up}, so
+    while every region is up they never read their own region. *)
+
 val check_up : t -> unit
 (** @raise Invalid_argument when the region is down (access before
     recovery). *)

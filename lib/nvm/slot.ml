@@ -17,7 +17,7 @@
     value may start on one birth: a slot's version still names exactly one
     entry between two crashes, and no write ever touches a birth, so the
     physical compare of entries stays the (value, version) compare.  A
-    slot is then 8 + 2 words (record and media block) plus its share of
+    slot is then 7 + 2 words (record and media block) plus its share of
     the birth's 4.
 
     Versions keep write-backs monotone: on real hardware two [clwb]s of the
@@ -26,8 +26,10 @@
 
     The media field names the slot's whole persistent state: its
     discipline (strict or buffered) and whether a crash lost it (a
-    constant constructor per discipline), so the record is 8 words
-    (64 bytes with its header).
+    constant constructor per discipline).  One [id] word names both the
+    slot and, on a Mirror pair's persistent replica, the pair: a pair is
+    named by that one slot's uid.  So the record is 7 words (56 bytes
+    with its header).
 
     Slots bill each NVMM access through {!Stats} (its counter and its
     {!Latency} cost), and call {!Hooks.yield} at each atomic step so the
@@ -86,8 +88,10 @@ type 'a t = {
           while the region is down (a crash losing the slot, a recovery
           write healing it); in normal operation the block is fixed and
           only its field moves. *)
-  uid : int;  (** global location identity, for access-event attribution *)
-  pair : int;  (** owning Mirror pair uid, [-1] when not a replica *)
+  id : int;
+      (** the slot's uid (global location identity, for access-event
+          attribution) when the slot is a Mirror pair's persistent
+          replica, which names the pair; [lnot uid] (negative) otherwise *)
   line : Region.line option;
       (** the cache line this slot was carved from ([None] on slot-granular
           regions and on buffered slots): line-mates share write-backs —
@@ -106,6 +110,8 @@ external current_atomic : 'a t -> 'a entry Atomic.t = "%identity"
 [@@mlint.allow L7 "current is field 0 of a mutable record"]
 
 let next_uid = Atomic.make 0
+let uid t = if t.id >= 0 then t.id else lnot t.id
+let pair t = if t.id >= 0 then t.id else -1
 
 let buffered t =
   match t.media with
@@ -148,8 +154,8 @@ let announce t op ~seq =
   Hooks.access_point
     {
       Hooks.a_op = op;
-      a_slot = t.uid;
-      a_pair = t.pair;
+      a_slot = uid t;
+      a_pair = pair t;
       a_region = Region.id t.region;
       a_domain = (Domain.self () :> int);
       a_tid = Hooks.tid ();
@@ -284,7 +290,7 @@ let reset t ~persist_first =
   if persist_first then persist_monotone t (Atomic.get (current_atomic t));
   reset_media t
 
-let create ~persist ~charge_copy ~pair line region (e : 'a birth) media =
+let create ~persist ~charge_copy ~paired line region (e : 'a birth) media =
   (* buffered slots persist through the epoch clock, never through line
      write-backs: they take no line *)
   let line =
@@ -297,8 +303,9 @@ let create ~persist ~charge_copy ~pair line region (e : 'a birth) media =
       current = e;
       region;
       media;
-      uid = Atomic.fetch_and_add next_uid 1;
-      pair;
+      id =
+        (let uid = Atomic.fetch_and_add next_uid 1 in
+         if paired then uid else lnot uid);
       line;
       home =
         (match line with
@@ -349,7 +356,7 @@ let create ~persist ~charge_copy ~pair line region (e : 'a birth) media =
   t
 
 let make_born ?(persist = false) ?(buffered = false) ?line region b =
-  create ~persist ~charge_copy:false ~pair:(-1) line region b
+  create ~persist ~charge_copy:false ~paired:false line region b
     (media ~persist ~buffered b)
 
 let make ?persist ?buffered ?line region v =
@@ -359,14 +366,14 @@ let make ?persist ?buffered ?line region v =
    This also keeps a build without cross-module inlining (the dev
    profile) from boxing each flag in an option per Mirror variable; a
    release build would not box them either way. *)
-let make_buffered_replica ~pair region (fb : 'a buffered_birth) =
-  create ~persist:true ~charge_copy:true ~pair None region (List.hd fb)
+let make_buffered_replica ~paired region (fb : 'a buffered_birth) =
+  create ~persist:true ~charge_copy:true ~paired None region (List.hd fb)
     (Front { front = fb })
 
-let make_replica ~pair ~buffered ~persist ?line region b =
-  if buffered && persist then make_buffered_replica ~pair region [ b ]
+let make_replica ~paired ~buffered ~persist ?line region b =
+  if buffered && persist then make_buffered_replica ~paired region [ b ]
   else
-    create ~persist ~charge_copy:persist ~pair line region b
+    create ~persist ~charge_copy:persist ~paired line region b
       (media ~persist ~buffered b)
 
 let check t =
@@ -485,6 +492,7 @@ let cas t ~expected ~desired =
   cas_loop t expected desired
 
 let next_entry e v = { v; ver = e.ver + 1; ep = 0 }
+let stale e = if e.ver < 0 then e else { e with ver = lnot e.ver }
 
 (** Entry CAS: install [desired] over exactly the entry [expected] and
     return the entry found — [expected] itself iff the install landed. *)
@@ -509,12 +517,24 @@ let is_dirty t =
       | p :: _ -> p.ver < ver)
   | Lost_strict | Lost_buffered -> true
 
-(* The elided write-back: free, counted as [flush_elided]. *)
-let elide t e =
+(* [elide]'s [seq] for a plain {!flush}, which names no snapshot: the
+   announcement reads the current entry's version when it is made. *)
+let seq_at_announce = min_int
+
+(* The elided write-back: free, counted as [flush_elided].  A [line] is
+   marked flushed, keeping the line's in-flight state identical to the
+   un-elided run (the charged flush would have marked it): the mark only
+   ever persists *more* at the fence, which a real cache may do anyway. *)
+let elide ?line t ~seq =
   Hooks.persist_point Hooks.Flush_elided;
   let s = Stats.get () in
   s.Stats.flush_elided <- s.Stats.flush_elided + 1;
-  if !Hooks.access_on then announce t Hooks.A_flush_elided ~seq:e.ver
+  (match line with Some l -> Region.mark_line_flushed t.region l | None -> ());
+  if !Hooks.access_on then
+    announce t Hooks.A_flush_elided
+      ~seq:
+        (if seq = seq_at_announce then (Atomic.get (current_atomic t)).ver
+         else seq)
 
 (** [clwb]: record a write-back of the line's current content.  The value is
     guaranteed persistent only once a subsequent {!Region.fence} completes,
@@ -531,20 +551,8 @@ let elide t e =
 let flush t =
   Hooks.yield ();
   check t;
-  if Region.elision t.region && not (is_dirty t) then begin
-    Hooks.persist_point Hooks.Flush_elided;
-    let s = Stats.get () in
-    s.Stats.flush_elided <- s.Stats.flush_elided + 1;
-    (* keep the line's in-flight state identical to the un-elided run (the
-       charged flush below would have marked it): the mark only ever
-       persists *more* at the fence, which a real cache may do anyway *)
-    (match t.line with
-    | Some l -> Region.mark_line_flushed t.region l
-    | None -> ());
-    if !Hooks.access_on then
-      announce t Hooks.A_flush_elided
-        ~seq:(Atomic.get (current_atomic t)).ver
-  end
+  if Region.elision t.region && not (is_dirty t) then
+    elide ?line:t.line t ~seq:seq_at_announce
   else
     match t.line with
     | Some l when Region.line_in_flight t.region l ->
@@ -576,7 +584,8 @@ let flush t =
    when the media already covers the snapshot (e.g. spontaneous eviction
    beat the advance to it). *)
 let flush_snapshot t snapshot =
-  if Region.elision t.region && media_covers t snapshot then elide t snapshot
+  if Region.elision t.region && media_covers t snapshot then
+    elide t ~seq:snapshot.ver
   else begin
     Hooks.persist_point Hooks.Flush;
     Stats.bill_flush ~home:t.home;
@@ -594,12 +603,12 @@ let persist_deferred t =
   Hooks.yield ();
   check t;
   if Region.elision t.region && not (is_dirty t) then
-    elide t (Atomic.get (current_atomic t))
+    elide t ~seq:(Atomic.get (current_atomic t)).ver
   else begin
     let snapshot = Atomic.get (current_atomic t) in
     if !Hooks.access_on then
       announce t Hooks.A_persist_deferred ~seq:snapshot.ver;
-    Region.record_deferred t.region ~uid:t.uid ~ver:snapshot.ver
+    Region.record_deferred t.region ~uid:(uid t) ~ver:snapshot.ver
       ~flush:(fun () -> flush_snapshot t snapshot)
   end
 
@@ -643,6 +652,4 @@ let front t =
   | Newest _ | Lost_strict | Lost_buffered -> []
 
 let region t = t.region
-let uid t = t.uid
-let pair t = t.pair
 let line t = t.line

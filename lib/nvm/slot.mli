@@ -61,16 +61,17 @@ val make_born :
 (** {!make} from a birth that other slots may share. *)
 
 val make_replica :
-  pair:int ->
+  paired:bool ->
   buffered:bool ->
   persist:bool ->
   ?line:Region.line ->
   Region.t ->
   'a birth ->
   'a t
-(** The persistent replica of Mirror pair [pair]: as {!make_born}, and
-    [pair] is recorded for access-event attribution ([-1]: a persistent
-    field outside any pair, as the general transformations allocate).
+(** A Mirror pair's persistent replica: as {!make_born}, and with
+    [paired] the slot's uid also names the pair ({!pair}) for access-event
+    attribution ([false]: a persistent field outside any pair, as the
+    general transformations allocate).
     With [persist] the allocation-time copy is also billed through
     {!Stats} as one NVMM write + one flush — the allocator wrote and
     wrote back this line before handing it out; each slot pays its own
@@ -79,7 +80,8 @@ val make_replica :
     it is billed as {!Stats.t.flush_coalesced} and rides the pending line
     flush. *)
 
-val make_buffered_replica : pair:int -> Region.t -> 'a buffered_birth -> 'a t
+val make_buffered_replica :
+  paired:bool -> Region.t -> 'a buffered_birth -> 'a t
 (** The persisted buffered replica: {!make_replica} [~buffered:true
     ~persist:true] is this over a birth of its own. *)
 
@@ -102,6 +104,11 @@ val cas_pred : 'a t -> expect:('a -> bool) -> desired:'a -> bool * 'a
 val next_entry : 'a entry -> 'a -> 'a entry
 (** [next_entry e v]: an unpublished entry holding [v] one version past
     [e] — the [desired] argument of {!cas_entry}. *)
+
+val stale : 'a entry -> 'a entry
+(** [stale e]: [e]'s value and epoch under a negative version
+    ([lnot ver]), the mark a crash leaves on a volatile copy of [e]; an
+    entry already stale is returned as is.  No slot ever holds one. *)
 
 val cas_entry : 'a t -> expected:'a entry -> desired:'a entry -> 'a entry
 (** Double-word CAS: install [desired] (built by {!next_entry} from
@@ -177,7 +184,8 @@ val uid : 'a t -> int
 (** Global location identity carried on this slot's access events. *)
 
 val pair : 'a t -> int
-(** Owning Mirror pair uid ([-1] when the slot is not a replica). *)
+(** The Mirror pair this slot is the persistent replica of, named by
+    this slot's {!uid}; [-1] when the slot is not a pair's replica. *)
 
 val line : 'a t -> Region.line option
 (** The cache line this slot was carved from ([None] on slot-granular

@@ -492,8 +492,6 @@ let free t payload =
 
 (* -- recovery: offline mark-sweep -------------------------------------------- *)
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
 (* A work-stealing deque (LIFO owner end, thieves take the bottom half).
    Plain mutex per stack: mark workers never hold it across a yield, so it
    is safe both under real domains and under the cooperative scheduler. *)
@@ -597,7 +595,7 @@ let recover ?(domains = 1) ?runner t ~(trace : int -> int list) =
   let record_err e = ignore (Atomic.compare_and_set err None (Some e)) in
   let reraise () = match Atomic.get err with Some e -> raise e | None -> () in
   (* ---- mark ---- *)
-  let t0 = now_ns () in
+  let t0 = Mirror_clock.now_ns () in
   let marks = Bytes.make cap '\000' in
   let stacks = Array.init nw (fun _ -> mk_wstack ()) in
   let tasks = Atomic.make 0 in
@@ -674,7 +672,7 @@ let recover ?(domains = 1) ?runner t ~(trace : int -> int list) =
         Array.iter Domain.join doms);
     reraise ()
   end;
-  let t1 = now_ns () in
+  let t1 = Mirror_clock.now_ns () in
   Hooks.recovery_point Hooks.R_mark_done;
   (* ---- sweep: parse each segment's chunks from its persistent seam ---- *)
   Bytes.fill t.state 0 cap '\000';
@@ -834,7 +832,7 @@ let recover ?(domains = 1) ?runner t ~(trace : int -> int list) =
   Array.fill t.owner 0 cap 0;
   t.base_live <- Array.fold_left ( + ) 0 seg_live;
   Atomic.set t.bump !bump;
-  let t2 = now_ns () in
+  let t2 = Mirror_clock.now_ns () in
   let total = Array.fold_left ( + ) 0 in
   let st = Stats.get () in
   st.Stats.rec_marked <- st.Stats.rec_marked + total marked_counts;

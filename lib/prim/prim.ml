@@ -199,7 +199,7 @@ end) : S with type 'a t = 'a Slot.t = struct
      the substrate, as for a Mirror variable's persistent replica, so all
      persistent strategies are costed alike *)
   let make_born b =
-    Slot.make_replica ~pair:(-1) ~buffered:false ~persist:true region b
+    Slot.make_replica ~paired:false ~buffered:false ~persist:true region b
 
   let make v = make_born (birth v)
   let make_near_born _ b = make_born b

@@ -461,6 +461,7 @@ let rec check_ident ctx ~allow lid (loc : Location.t) =
       || ends_with ~suffix:[ "Random"; "self_init" ] parts
       || ends_with ~suffix:[ "Random"; "State"; "make_self_init" ] parts
       || ends_with ~suffix:[ "Unix"; "gettimeofday" ] parts
+      || List.mem "Mirror_clock" parts
       || ends_with ~suffix:[ "Unix"; "time" ] parts
       || ends_with ~suffix:[ "Sys"; "time" ] parts
     in

@@ -318,17 +318,17 @@ let test_buffered_birth_shared () =
   in
   let fb = Slot.buffered_birth 5 in
   let shared r =
-    let a = Slot.make_buffered_replica ~pair:(-1) r fb in
-    let b = Slot.make_buffered_replica ~pair:(-1) r fb in
+    let a = Slot.make_buffered_replica ~paired:false r fb in
+    let b = Slot.make_buffered_replica ~paired:false r fb in
     check (Slot.front a == Slot.front b) "born on one history";
     Slot.store a 6;
     check (Slot.front a == Slot.front b) "a write alone shares it still";
     (a, b)
   in
   let own r =
-    let a = Slot.make_replica ~pair:(-1) ~buffered:true ~persist:true r
+    let a = Slot.make_replica ~paired:false ~buffered:true ~persist:true r
         (Slot.birth 5)
-    and b = Slot.make_replica ~pair:(-1) ~buffered:true ~persist:true r
+    and b = Slot.make_replica ~paired:false ~buffered:true ~persist:true r
         (Slot.birth 5) in
     check (Slot.front a != Slot.front b) "own histories";
     Slot.store a 6;
@@ -345,6 +345,39 @@ let test_buffered_birth_shared () =
   | (_, _, a_now, b_now) :: _ ->
       check (a_now = 6 && b_now = 5) "the uncommitted write rolled back"
   | [] -> assert false
+
+(* A Mirror pair is named by its persistent replica's slot uid: a
+   replica's [pair] is its own [uid], and a slot outside any pair has
+   none. *)
+let test_pair_named_by_slot () =
+  let r = Support.fresh_region () in
+  let b = Slot.birth 0 in
+  List.iter
+    (fun (what, s) ->
+      check (Slot.uid s >= 0) (what ^ ": uid is non-negative");
+      check (Slot.pair s = Slot.uid s) (what ^ ": pair is its own uid"))
+    [
+      ("strict replica",
+        Slot.make_replica ~paired:true ~buffered:false ~persist:true r b);
+      ("buffered replica",
+        Slot.make_replica ~paired:true ~buffered:true ~persist:true r b);
+      ("unpersisted replica",
+        Slot.make_replica ~paired:true ~buffered:false ~persist:false r b);
+      ("buffered-birth replica",
+        Slot.make_buffered_replica ~paired:true r (Slot.buffered_birth 0));
+    ];
+  List.iter
+    (fun (what, s) ->
+      check (Slot.uid s >= 0) (what ^ ": uid is non-negative");
+      check (Slot.pair s = -1) (what ^ ": no pair"))
+    [
+      ("plain slot", Slot.make ~persist:true r 0);
+      ("unpaired replica",
+        Slot.make_replica ~paired:false ~buffered:false ~persist:true r b);
+    ];
+  let x = Slot.make r 0 and y = Slot.make_replica ~paired:true
+      ~buffered:false ~persist:true r b in
+  check (Slot.uid y = Slot.uid x + 1) "one uid counter for both kinds"
 
 let suite =
   [
@@ -370,5 +403,7 @@ let suite =
         Alcotest.test_case "latency calibration" `Quick test_latency_calibration;
         Alcotest.test_case "strict config parsing" `Quick test_strict_config;
         QCheck_alcotest.to_alcotest prop_slot_model;
+        Alcotest.test_case "a pair is named by its replica's slot" `Quick
+          test_pair_named_by_slot;
       ] );
   ]

@@ -70,6 +70,63 @@ let test_unrecovered_access_detected () =
      with Invalid_argument _ -> true)
     "untraced variable access is a detected bug"
 
+let raises f =
+  try
+    f ();
+    false
+  with Invalid_argument _ -> true
+
+(* A crash leaves a stale [repv] on every variable of a tracked region;
+   only [recover] clears it, so a variable recovery never reached is
+   still refused — by [load] and by [cas] — once the region is back up,
+   and the one it reached is not. *)
+let test_stale_after_mark_recovered () =
+  List.iter
+    (fun placement ->
+      let r = Support.fresh_region () in
+      let a = Patomic.make ~placement r 1 and b = Patomic.make ~placement r 2 in
+      Patomic.store b 3;
+      Region.crash r;
+      check (Patomic.seq_v b < 0) "the crash marks repv stale";
+      Patomic.recover a;
+      Region.mark_recovered r;
+      check (raises (fun () -> ignore (Patomic.load b))) "load refused";
+      check
+        (raises (fun () -> ignore (Patomic.cas b ~expected:3 ~desired:4)))
+        "cas refused";
+      check (Patomic.peek_p b = 3) "the refused cas wrote nothing";
+      check (Patomic.load a = 1 && Patomic.cas a ~expected:1 ~desired:5)
+        "the recovered variable is live";
+      Patomic.recover b;
+      check (Patomic.load b = 3 && Patomic.seq_v b = Patomic.seq_p b)
+        "a late recover installs the persisted entry")
+    [ Patomic.Dram; Patomic.Nvmm ]
+
+(* An untracked region invalidates nothing at a crash: the process-wide
+   down count alone refuses its variables while it is down.  Another
+   region's variables meanwhile load and CAS as usual, and recovery
+   stores nothing into a variable whose [repv] already holds the
+   persisted entry. *)
+let test_down_region_refused () =
+  let down = Support.fresh_region ~track:false () in
+  let up = Support.fresh_region () in
+  let v = Patomic.make down 1 and w = Patomic.make up 10 in
+  check (Patomic.cas v ~expected:1 ~desired:2) "cas before the crash";
+  let before = Patomic.entry_v v in
+  Region.crash down;
+  check (raises (fun () -> ignore (Patomic.load v))) "load on a down region";
+  check
+    (raises (fun () -> ignore (Patomic.cas v ~expected:2 ~desired:3)))
+    "cas on a down region";
+  check (Patomic.load w = 10) "the other region loads";
+  check (Patomic.cas w ~expected:10 ~desired:11) "the other region CASes";
+  check (Patomic.load w = 11) "and sees its write";
+  Patomic.recover v;
+  check (Patomic.entry_v v == before) "recovery stored nothing";
+  Region.mark_recovered down;
+  check (Patomic.load v = 2) "readable once recovered";
+  check (Patomic.cas v ~expected:2 ~desired:3) "writable once recovered"
+
 (* A refused write charges nothing: [store] and [fetch_add] on a variable
    recovery did not reach raise before reading the volatile replica, as a
    refused [load] does. *)
@@ -386,16 +443,16 @@ let prop_crash_recover_idempotent =
 
 (* -- layout and field-0 atomicity ------------------------------------------ *)
 
-(* A strict variable is its record (5 words), its slot (8), the slot's
+(* A strict variable is its block (3 words), its slot (7), the slot's
    media block (2) and the shared entry (4). *)
 let test_layout () =
   let r = Support.fresh_region ~track:false () in
   let v = Patomic.make r 0 in
   let w = Support.own_words v r in
-  check (w <= 19) (Printf.sprintf "strict variable: %d words, at most 19" w);
+  check (w <= 16) (Printf.sprintf "strict variable: %d words, at most 16" w);
   let s = Mirror_nvm.Slot.make ~persist:true r 0 in
   let w = Support.own_words s r in
-  check (w <= 14) (Printf.sprintf "slot: %d words, at most 14" w)
+  check (w <= 13) (Printf.sprintf "slot: %d words, at most 13" w)
 
 (* Fails without allocating on the success path. *)
 let check_cas ok = if not ok then Alcotest.fail "an uncontended CAS failed"
@@ -436,8 +493,8 @@ let test_cas_alloc () =
 let test_make_alloc () =
   let r = Support.fresh_region ~track:false () in
   let w = words_per_call 10_000 (fun i -> ignore (Patomic.make r i)) in
-  check (w <= 19.0)
-    (Printf.sprintf "strict Patomic.make: %.2f minor words, at most 19" w)
+  check (w <= 16.0)
+    (Printf.sprintf "strict Patomic.make: %.2f minor words, at most 16" w)
 
 (* Making a variable from a shared birth allocates the record, the slot
    and its media block, and not the birth entry. *)
@@ -445,8 +502,8 @@ let test_make_born_alloc () =
   let r = Support.fresh_region ~track:false () in
   let b = Mirror_nvm.Slot.birth 0 in
   let w = words_per_call 10_000 (fun _ -> ignore (Patomic.make_born r b)) in
-  check (w <= 15.0)
-    (Printf.sprintf "Patomic.make_born: %.2f minor words, at most 15" w)
+  check (w <= 12.0)
+    (Printf.sprintf "Patomic.make_born: %.2f minor words, at most 12" w)
 
 (* Two variables made from one birth start on one entry, physically.  A
    CAS on one installs a fresh entry there and leaves the other on the
@@ -582,5 +639,9 @@ let suite =
           test_make_born_alloc;
         Alcotest.test_case "two variables from one birth" `Quick
           test_shared_birth;
+        Alcotest.test_case "stale after mark_recovered" `Quick
+          test_stale_after_mark_recovered;
+        Alcotest.test_case "down region refused, others live" `Quick
+          test_down_region_refused;
       ] );
   ]

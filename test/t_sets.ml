@@ -124,7 +124,7 @@ let test_transform_cost_ordering () =
   check (fl_mi = 0 && fe_mi = 0) "Mirror persists nothing on reads";
   check (nr_mi = 0) "Mirror reads never touch NVMM"
 
-(* -- Mirror lookups and recovery allocate nothing; a key costs 23 words --- *)
+(* -- Mirror lookups and recovery allocate nothing; a key costs 20 words --- *)
 
 (* Minor words per [contains] and per [find_opt] on a table with every even
    key of [0, range) present, measured after a warm-up pass (which
@@ -168,10 +168,10 @@ let test_lookup_alloc ds () =
   check (w < 1.0) (Printf.sprintf "find_opt: %.2f words per call, under 1" w)
 
 (* Heap words one Mirror hash-table insert adds: the node (4), its [next]
-   variable (15: a [next] born [Nil] starts on the table's shared birth,
+   variable (12: a [next] born [Nil] starts on the table's shared birth,
    one born on a successor owns its 4-word birth) and the predecessor
    field's new entry (4).  The predecessor's old entry dies — a shared
-   [Nil] birth or a private one — so 23 words either way; the birth
+   [Nil] birth or a private one — so 20 words either way; the birth
    sharing shows per bucket ("hash create").  The first insert registers
    the domain's reclamation handle and is left out. *)
 let test_hash_key_words () =
@@ -185,20 +185,20 @@ let test_hash_key_words () =
     ignore (S.insert t k k)
   done;
   let w = float_of_int (Support.own_words t region - w0) /. float_of_int n in
-  check (w <= 23.0) (Printf.sprintf "%.2f words per key, at most 23" w)
+  check (w <= 20.0) (Printf.sprintf "%.2f words per key, at most 20" w)
 
 (* Heap words one Mirror hash-table bucket costs: its head variable,
    which starts on the table's one [Nil] birth and so owns no birth entry
-   (15 words), and its array cell.  The table record, the shared birth
-   and the reclamation domain are amortized over the buckets: 16.02 words
-   measured, 20.01 with a private birth per head. *)
+   (12 words), and its array cell.  The table record, the shared birth
+   and the reclamation domain are amortized over the buckets: 13.02 words
+   measured (16.02 with 15-word variables). *)
 let test_hash_bucket_words () =
   let n = 1024 in
   let region = Support.fresh_region ~track:false () in
   let (module S) = Sets.make Sets.Hash_ds (Support.prim region "mirror") in
   let t = S.create ~capacity:n () in
   let w = float_of_int (Support.own_words t region) /. float_of_int n in
-  check (w <= 16.1) (Printf.sprintf "%.2f words per bucket, at most 16.1" w)
+  check (w <= 13.1) (Printf.sprintf "%.2f words per bucket, at most 13.1" w)
 
 (* Minor words one Mirror hash-table [recover] allocates per bucket, on a
    table holding as many keys as buckets: the tracing walk is a top-level

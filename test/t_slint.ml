@@ -176,6 +176,19 @@ let test_l5 () =
   (* the twin: the same calls are legal outside the deterministic dirs *)
   check_lines "legal in bin/" S.L5 [] (analyze ~rel:"bin/fixture.ml" l5_src)
 
+(* the library's monotonic clock is a clock read like any other *)
+let l5_clock_src =
+  {|
+let now () = Mirror_clock.now_ns ()
+let since t0 = Mirror_clock.seconds_since t0
+|}
+
+let test_l5_clock () =
+  check_lines "clock reads in lib/prim" S.L5 [ 2; 3 ]
+    (analyze ~rel:"lib/prim/fixture.ml" l5_clock_src);
+  check_lines "legal in lib/harness" S.L5 []
+    (analyze ~rel:"lib/harness/fixture.ml" l5_clock_src)
+
 (* -- L6: recovery honesty --------------------------------------------------- *)
 
 let l6_bad =
@@ -404,5 +417,6 @@ let suite =
         Alcotest.test_case "vocab: CLI --list-rules" `Quick test_vocab_cli;
         Alcotest.test_case "vocab: docs table" `Quick test_vocab_docs;
         Alcotest.test_case "vocab: ids + aliases" `Quick test_vocab_ids;
+        Alcotest.test_case "L5 bans the monotonic clock" `Quick test_l5_clock;
       ] );
   ]
