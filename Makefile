@@ -27,7 +27,8 @@ ci: build test lint bench-smoke perfbench-smoke mcheck-smoke litmus-smoke \
     psan-smoke fmt
 	@echo "ci: all gates green"
 
-# Nightly soak: the crash-torture tier over real domains, 30 times, so
+# Nightly soak: the crash-torture tier over real domains and the race of
+# first-touch registration against a crash, 30 times, so
 # low-probability interleavings get a chance to fire.  Failure logs land
 # in _stress/ (one per failing round) for CI to upload; the round number
 # doubles as the only extra seed input, so a failing round is rerunnable
@@ -35,7 +36,7 @@ ci: build test lint bench-smoke perfbench-smoke mcheck-smoke litmus-smoke \
 test-stress: build
 	@mkdir -p _stress; fail=0; \
 	for i in $$(seq 1 30); do \
-	  for suite in durable recovery-par diff-fuzz; do \
+	  for suite in durable recovery-par diff-fuzz registration; do \
 	    if ! dune exec test/main.exe -- test $$suite \
 	        > _stress/round$$i-$$suite.log 2>&1; then \
 	      echo "STRESS FAIL round $$i suite $$suite" \

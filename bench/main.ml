@@ -157,31 +157,7 @@ let ablation_helping_rate () =
     [ 1; 2; 4; 8 ];
   print_newline ()
 
-(* 3. Replica placement: the DRAM replica's whole contribution, isolated. *)
-let ablation_placement () =
-  print_endline
-    "=== ablation: volatile-replica placement (hash, 8 threads, modeled Mops)";
-  Printf.printf "%-8s %12s %12s %12s\n" "updates%" "mirror-dram" "mirror-nvmm"
-    "orig-nvmm";
-  List.iter
-    (fun updates ->
-      let point algo =
-        let region = Mirror_nvm.Region.create ~track_slots:false () in
-        let (module S) =
-          Option.get (F.make_set ~region Mirror_dstruct.Sets.Hash_ds algo)
-        in
-        (Mirror_harness.Runner.run ~seconds:0.1 ~llc_bytes:(1 lsl 20)
-           ~threads:8 ~range:65536
-           ~mix:(Mirror_workload.Workload.of_updates updates)
-           (module S))
-          .R.modeled_mops
-      in
-      Printf.printf "%-8d %12.2f %12.2f %12.2f\n%!" updates
-        (point F.Mirror) (point F.Mirror_nvmm) (point F.Orig_nvmm))
-    [ 0; 20; 50; 100 ];
-  print_newline ()
-
-(* 4. Crash-policy sweep: under increasing eviction probability, more
+(* 3. Crash-policy sweep: under increasing eviction probability, more
    in-flight operations survive a crash — all without ever violating
    durable linearizability. *)
 let ablation_crash_policy () =
@@ -220,7 +196,7 @@ let ablation_crash_policy () =
     [ 0.; 0.25; 0.5; 1.0 ];
   print_newline ()
 
-(* 5. Recovery time vs structure size (§4.3's run-time/recovery trade-off):
+(* 4. Recovery time vs structure size (§4.3's run-time/recovery trade-off):
    Mirror re-traces every reachable node; Link-Free scans its allocation
    registry.  Also contrasts with the key-skew of a Zipfian workload. *)
 let ablation_recovery_time () =
@@ -264,7 +240,7 @@ let ablation_recovery_time () =
     [ 4096; 16384; 65536 ];
   print_newline ()
 
-(* 6. Key skew: YCSB's Zipfian vs the paper's uniform keys. *)
+(* 5. Key skew: YCSB's Zipfian vs the paper's uniform keys. *)
 let ablation_zipfian () =
   print_endline
     "=== ablation: key distribution (hash, 8 threads, 20% updates, modeled Mops)";
@@ -288,7 +264,7 @@ let ablation_zipfian () =
     ];
   print_newline ()
 
-(* 7. Flush-instruction profiles: the paper reports clwb / clflush /
+(* 6. Flush-instruction profiles: the paper reports clwb / clflush /
    clflushopt results identical up to noise for Mirror (a DWCAS right after
    every flush acts as a fence); check the model agrees across platforms. *)
 let ablation_platforms () =
@@ -311,7 +287,7 @@ let ablation_platforms () =
   Mirror_nvm.Latency.set_config Mirror_nvm.Latency.default;
   print_newline ()
 
-(* 8. Persistent transactions serialize writes (§1/§7): the redo-log
+(* 7. Persistent transactions serialize writes (§1/§7): the redo-log
    transactional map against Mirror's lock-free hash under growing write
    concurrency.  The measured column shows the writer-lock convoy that the
    per-op cost model cannot. *)
@@ -348,7 +324,6 @@ let ablation_tx_scaling () =
 let run_ablations () =
   ablation_fence_sensitivity ();
   ablation_helping_rate ();
-  ablation_placement ();
   ablation_crash_policy ();
   ablation_recovery_time ();
   ablation_zipfian ();

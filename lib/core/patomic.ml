@@ -81,27 +81,6 @@ let repp = function Dram r -> r.repp | Nvmm r -> r.repp
 let invalidate t =
   Atomic.set (repv_atomic t) (Slot.stale (Atomic.get (repv_atomic t)))
 
-(* Volatile-replica access events: attributed to the persistent replica's
-   slot uid so a slot's event trace shows the whole pair's history.  Call
-   sites gate on [Hooks.access_on]. *)
-let announce_repv t op ~seq =
-  let repp = repp t in
-  Hooks.access_point
-    {
-      Hooks.a_op = op;
-      a_slot = Slot.uid repp;
-      a_pair = Slot.pair repp;
-      a_region = Region.id (Slot.region repp);
-      a_domain = (Domain.self () :> int);
-      a_tid = Hooks.tid ();
-      a_seq = seq;
-      a_line =
-        (match Slot.line repp with
-        | Some l -> Region.line_uid l
-        | None -> -1);
-      a_protocol = Hooks.in_protocol ();
-    }
-
 (* The variable over its freshly made persistent replica. *)
 let of_repp (placement : placement) region repp =
   let repv = Slot.peek_entry repp in
@@ -157,7 +136,10 @@ let read_repv t =
   | Dram _ -> Stats.bill_dram_read ()
   | Nvmm _ -> Stats.bill_nvm_read ~home:Stats.local);
   let c = Atomic.get (repv_atomic t) in
-  if !Hooks.access_on then announce_repv t Hooks.A_load_repv ~seq:c.ver;
+  (* volatile-replica events name the persistent replica's slot, so a
+     slot's event trace shows the whole pair's history *)
+  if !Hooks.access_on then
+    Slot.announce (repp t) Hooks.A_load_repv ~seq:c.ver;
   c
 
 let write_repv t ~expected ~desired =
@@ -168,7 +150,7 @@ let write_repv t ~expected ~desired =
   (* double-word CAS on the volatile replica: the blocks are the cells *)
   let ok = Atomic.compare_and_set (repv_atomic t) expected desired in
   if ok && !Hooks.access_on then
-    announce_repv t Hooks.A_write_repv ~seq:desired.ver;
+    Slot.announce (repp t) Hooks.A_write_repv ~seq:desired.ver;
   ok
 
 (** Figure 5: a load is a single wait-free read of the volatile replica. *)

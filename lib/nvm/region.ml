@@ -16,15 +16,17 @@
     please, so an algorithm must be correct even when *more* than it flushed
     gets persisted.
 
-    Pending write-backs are tracked in a **per-domain** set: [sfence] drains
-    the write-backs recorded by the calling domain (on hardware, a fence
-    orders the issuing CPU's own [clwb]s; under the deterministic scheduler
-    all logical threads share one domain and hence one set, which recovers
-    the seed's global-drain behavior exactly).  When the region's elision
-    mode is on, a fence that finds its domain's set empty is a no-op — it is
-    counted as [fence_elided] and charges no latency (Cai et al., *Fast
-    Nonblocking Persistence*: fences can be elided when no write-back is
-    pending). *)
+    Each domain that touches the region gets one record of its own
+    persistence state: its pending write-backs, its in-flight lines and its
+    deferred persists.  [sfence] drains the write-backs recorded by the
+    calling domain (on hardware, a fence orders the issuing CPU's own
+    [clwb]s; under the deterministic scheduler all logical threads share
+    one domain and hence one record, which recovers the seed's global-drain
+    behavior exactly).  When the region's elision mode is on, a fence that
+    finds its domain's pending stack empty is a no-op — it is counted as
+    [fence_elided] and charges no latency (Cai et al., *Fast Nonblocking
+    Persistence*: fences can be elided when no write-back is pending).  The
+    records hang off the region, so they die with it. *)
 
 type crash_policy =
   | Adversarial
@@ -57,27 +59,33 @@ type line = {
   mutable l_resets : (persist_first:bool -> unit) list;
 }
 
-(** One domain's pending write-backs: a stack of thunks, oldest at index
-    0.  Appending writes one cell, allocating only when the array
-    doubles; drained cells are reset to [noop] so the set retains no
-    snapshot. *)
-type pending = {
-  mutable p_thunks : (unit -> unit) array;
-  mutable p_len : int;
+(** One domain's persistence state for one region.  Only the owning
+    domain touches the pending stack and the in-flight set; the deferred
+    list is also drained by other domains' advances, so it is read and
+    written under the region mutex. *)
+type dom = {
+  region_id : int;  (** the region's id; [-1] for the empty cache *)
+  domain : int;  (** the owning domain *)
+  mutable pending : (unit -> unit) array;
+      (** pending write-backs, oldest at index 0.  Appending writes one
+          cell, allocating only when the array doubles; drained cells are
+          reset to [noop] so the stack retains no snapshot. *)
+  mutable pending_len : int;
+  inflight : (int, unit) Hashtbl.t;
+      (** line uids flushed but not yet fenced by this domain; on a
+          slot-granular region, which has no lines, the shared [no_lines]
+          table, never written *)
+  mutable deferred : deferred list;  (** deferred persists, newest first *)
 }
 
 type t = {
-  id : int;  (** key into each domain's pending-set table *)
+  id : int;  (** carried on access events; names a {!dom}'s region *)
   slots_per_line : int;
       (** slots carved per simulated cache line; [1] = the historical
           slot-granular model (no lines exist, nothing coalesces) *)
   mutable lines : line list;
       (** every line carved from this region, for crash processing (gated
           on [track_slots], like [slot_resets]) *)
-  mutable domain_inflight : (int, unit) Hashtbl.t list;
-      (** every domain's in-flight line set for this region (line uids
-          flushed but not yet fenced by that domain), for crash clearing;
-          each table is only mutated by its owning domain *)
   mutable slot_resets : (persist_first:bool -> unit) list;
       (** one closure per registered persistent slot: optionally persist the
           current (cache) value, then reset the cache view to the persisted
@@ -88,10 +96,9 @@ type t = {
   track_slots : bool;
       (** benches disable registration: they never crash and must not retain
           every node ever allocated *)
-  mutable domain_pending : pending list;
-      (** every domain's pending write-back set for this region, for crash
-          processing and introspection; each set is only mutated by its
-          owning domain *)
+  mutable doms : dom list;
+      (** every domain's record for this region, newest first; prepended
+          under [mutex] *)
   elide : bool;
       (** flush/fence elision mode: skip (and count as elided) flushes of
           clean lines and fences with nothing pending *)
@@ -125,9 +132,6 @@ type t = {
           the advance's fence, so a crash never tears it).  Recovery keeps
           exactly the writes tagged [<= durable_epoch]. *)
   mutable cur_count : int;  (** deferred persists recorded in [cur_epoch] *)
-  mutable domain_deferred : deferred list ref list;
-      (** every domain's deferred set for this region; appends and drains
-          are under [mutex] (the advancer drains other domains' sets) *)
   advancing : bool Atomic.t;
       (** advance claim flag: help-advance is nonblocking — a thread that
           finds an advance in flight just returns (buffered completion
@@ -146,13 +150,12 @@ let create ?(track_slots = true) ?(runtime_evict_prob = 0.0) ?(seed = 0xC0FFEE)
     id = Atomic.fetch_and_add next_id 1;
     slots_per_line;
     lines = [];
-    domain_inflight = [];
     slot_resets = [];
     volatile_invalidators = [];
     mutex = Mutex.create ();
     down = false;
     track_slots;
-    domain_pending = [];
+    doms = [];
     elide;
     rng = Random.State.make [| seed |];
     runtime_evict_prob;
@@ -164,7 +167,6 @@ let create ?(track_slots = true) ?(runtime_evict_prob = 0.0) ?(seed = 0xC0FFEE)
     cur_epoch = 1;
     durable_epoch = 0;
     cur_count = 0;
-    domain_deferred = [];
     advancing = Atomic.make false;
   }
 
@@ -174,9 +176,10 @@ let elision t = t.elide
 let id t = t.id
 let slots_per_line t = t.slots_per_line
 
-(* Fences have no slot identity; announce with the region and the acting
-   thread/domain (gated on [Hooks.access_on] at the call site). *)
-let announce_fence t op =
+(* Fences and epoch steps have no slot identity; announce with the
+   region and the acting thread/domain (gated on [Hooks.access_on] at the
+   call site).  [seq] is the epoch, or [-1] for a fence. *)
+let announce t op ~seq =
   Hooks.access_point
     {
       Hooks.a_op = op;
@@ -185,7 +188,7 @@ let announce_fence t op =
       a_region = t.id;
       a_domain = (Domain.self () :> int);
       a_tid = Hooks.tid ();
-      a_seq = -1;
+      a_seq = seq;
       a_line = -1;
       a_protocol = Hooks.in_protocol ();
     }
@@ -196,10 +199,10 @@ let announce_fence t op =
 let down_regions = Atomic.make 0
 let any_down () = Atomic.get down_regions <> 0
 
-let check_up t =
-  if t.down then
-    invalid_arg
-      "Mirror_nvm.Region: access to a crashed region before recovery"
+let refuse () =
+  invalid_arg "Mirror_nvm.Region: access to a crashed region before recovery"
+
+let check_up t = if t.down then refuse ()
 
 (* Registration takes the reset and its argument apart, so that the
    closure joining them is built only on a region that tracks slots: an
@@ -222,114 +225,94 @@ let register_volatile t invalidate x =
 
 (* -- flush / fence ------------------------------------------------------- *)
 
-(* The calling domain's pending set for one region.  The hot path
+(* The calling domain's record for one region.  The hot path
    (flush/fence) runs on every instrumented access, so the lookup is a
-   one-entry cache: a DLS record remembering the last region this domain
-   touched, making the common case one DLS load plus an int compare —
-   no hashing.  A domain alternating between regions falls back to the
-   private per-domain table; a genuinely first touch registers the set
-   with the region for crash processing.
+   one-entry cache: the domain's DLS holds the record of the last region
+   it touched, making the common case one DLS load plus an int compare.
+   A domain alternating between regions scans the region's own record
+   list (only this domain ever adds its record, so an unlocked read sees
+   it); a genuinely first touch registers a fresh record.  A record
+   names its region by id only, so a dropped region takes its records
+   with it (bar the one a domain still caches, until its next region).
 
-   Registration publishes the set *after* it is linked into the region
+   Registration publishes the record *after* it is linked into the region
    under [t.mutex], and refuses a region that is down: [crash] holds the
-   same mutex while snapshotting [domain_pending], so a first touch
-   racing a crash either lands before the snapshot (and is drained) or
-   observes [down] and raises — it can no longer register an orphan set
-   whose stale thunks a post-recovery fence would apply. *)
-type 'a region_cache = {
-  mutable c_id : int;  (** region id of [c_val]; [-1] when empty *)
-  mutable c_val : 'a;
-  c_tbl : (int, 'a) Hashtbl.t;  (** every region this domain touched *)
-}
-
-let refuse_down t =
-  Mutex.unlock t.mutex;
-  invalid_arg "Mirror_nvm.Region: access to a crashed region before recovery"
-
+   same mutex while walking [doms], so a first touch racing a crash
+   either lands before the walk (and is drained) or observes [down] and
+   raises — it can never register an orphan record whose stale thunks a
+   post-recovery fence would apply. *)
 let noop () = ()
-let new_pending () = { p_thunks = Array.make 8 noop; p_len = 0 }
+let no_lines : (int, unit) Hashtbl.t = Hashtbl.create 1
 
-let pending_key : pending region_cache Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { c_id = -1; c_val = new_pending (); c_tbl = Hashtbl.create 8 })
+let new_dom ~region_id ~domain ~inflight =
+  {
+    region_id;
+    domain;
+    pending = Array.make 8 noop;
+    pending_len = 0;
+    inflight;
+    deferred = [];
+  }
 
-let my_pending t =
-  let c = Domain.DLS.get pending_key in
-  if c.c_id = t.id then c.c_val
+let cache : dom Domain.DLS.key =
+  let empty = new_dom ~region_id:(-1) ~domain:(-1) ~inflight:no_lines in
+  Domain.DLS.new_key (fun () -> empty)
+
+let register t domain =
+  let inflight =
+    if t.slots_per_line > 1 then Hashtbl.create 8 else no_lines
+  in
+  let r = new_dom ~region_id:t.id ~domain ~inflight in
+  Mutex.lock t.mutex;
+  if t.down then begin
+    Mutex.unlock t.mutex;
+    refuse ()
+  end;
+  t.doms <- r :: t.doms;
+  Mutex.unlock t.mutex;
+  r
+
+let rec find t domain = function
+  | r :: rest -> if r.domain = domain then r else find t domain rest
+  | [] -> register t domain
+
+let mine t =
+  let r = Domain.DLS.get cache in
+  if r.region_id = t.id then r
   else begin
-    let r =
-      match Hashtbl.find_opt c.c_tbl t.id with
-      | Some r -> r
-      | None ->
-          let r = new_pending () in
-          Mutex.lock t.mutex;
-          if t.down then refuse_down t;
-          t.domain_pending <- r :: t.domain_pending;
-          Mutex.unlock t.mutex;
-          Hashtbl.add c.c_tbl t.id r;
-          r
-    in
-    c.c_id <- t.id;
-    c.c_val <- r;
+    let r = find t (Domain.self () :> int) t.doms in
+    Domain.DLS.set cache r;
     r
   end
+
+let push r thunk =
+  let n = r.pending_len in
+  if n = Array.length r.pending then begin
+    let a = Array.make (2 * n) noop in
+    Array.blit r.pending 0 a 0 n;
+    r.pending <- a
+  end;
+  r.pending.(n) <- thunk;
+  r.pending_len <- n + 1
 
 (** Record a write-back thunk.  The snapshot semantics (what value gets
     persisted) is the caller's business: {!Slot.flush} captures the cache
     content at flush time, which is a legal write-back instant. *)
-let add_pending t thunk =
-  let p = my_pending t in
-  let n = p.p_len in
-  if n = Array.length p.p_thunks then begin
-    let a = Array.make (2 * n) noop in
-    Array.blit p.p_thunks 0 a 0 n;
-    p.p_thunks <- a
-  end;
-  p.p_thunks.(n) <- thunk;
-  p.p_len <- n + 1
+let add_pending t thunk = push (mine t) thunk
 
-(* Empty [p], passing each thunk to [f] newest first. *)
-let drain p f =
-  let n = p.p_len in
-  p.p_len <- 0;
+(* Empty [r]'s pending stack, passing each thunk to [f] newest first. *)
+let drain r f =
+  let n = r.pending_len in
+  r.pending_len <- 0;
   for i = n - 1 downto 0 do
-    let thunk = p.p_thunks.(i) in
-    p.p_thunks.(i) <- noop;
+    let thunk = r.pending.(i) in
+    r.pending.(i) <- noop;
     f thunk
   done
 
 let run thunk = thunk ()
 
 (* -- cache lines ---------------------------------------------------------- *)
-
-(* The calling domain's in-flight line set (line uids flushed but not yet
-   fenced by this domain), same cached-record idiom as [pending_key].
-   Per-domain because a fence only orders the issuing CPU's own [clwb]s:
-   a line another domain flushed is not in flight for us. *)
-let inflight_key : (int, unit) Hashtbl.t region_cache Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { c_id = -1; c_val = Hashtbl.create 0; c_tbl = Hashtbl.create 8 })
-
-let my_inflight t =
-  let c = Domain.DLS.get inflight_key in
-  if c.c_id = t.id then c.c_val
-  else begin
-    let h =
-      match Hashtbl.find_opt c.c_tbl t.id with
-      | Some h -> h
-      | None ->
-          let h = Hashtbl.create 8 in
-          Mutex.lock t.mutex;
-          if t.down then refuse_down t;
-          t.domain_inflight <- h :: t.domain_inflight;
-          Mutex.unlock t.mutex;
-          Hashtbl.add c.c_tbl t.id h;
-          h
-    in
-    c.c_id <- t.id;
-    c.c_val <- h;
-    h
-  end
 
 (** Carve a fresh cache line and claim its first slot.  [None] when the
     region is slot-granular ([slots_per_line = 1]): no lines exist, every
@@ -387,78 +370,47 @@ let line_persist_members l = List.iter (fun p -> p ()) l.l_members
 
 (** Is [l] in flight for the calling domain (flushed, not yet fenced)?  A
     flush of an in-flight line is absorbed by the pending write-back. *)
-let line_in_flight t l = Hashtbl.mem (my_inflight t) l.l_uid
+let line_in_flight t l = Hashtbl.mem (mine t).inflight l.l_uid
 
 (** Mark [l] flushed by the calling domain: the first mark records one
     pending write-back covering the whole line (member content captured
     when the fence drains — a legal write-back instant, and the latest
     one); subsequent marks before the fence are the coalescing no-op. *)
 let mark_line_flushed t l =
-  let h = my_inflight t in
-  if not (Hashtbl.mem h l.l_uid) then begin
-    Hashtbl.add h l.l_uid ();
-    add_pending t (fun () -> line_persist_members l)
+  let r = mine t in
+  if not (Hashtbl.mem r.inflight l.l_uid) then begin
+    Hashtbl.add r.inflight l.l_uid ();
+    push r (fun () -> line_persist_members l)
   end
 
 (** [sfence]: all write-backs recorded by the calling domain are now
     guaranteed persistent.  With elision on, a fence that has nothing
     pending is a free no-op ([fence_elided]). *)
 let fence t =
-  let p = my_pending t in
-  if t.elide && p.p_len = 0 then begin
+  let r = mine t in
+  if t.elide && r.pending_len = 0 then begin
     Hooks.persist_point Hooks.Fence_elided;
     let s = Stats.get () in
     s.Stats.fence_elided <- s.Stats.fence_elided + 1;
-    if !Hooks.access_on then announce_fence t Hooks.A_fence_elided;
+    if !Hooks.access_on then announce t Hooks.A_fence_elided ~seq:(-1);
     Hooks.yield ()
   end
   else begin
     Hooks.persist_point Hooks.Fence;
     Stats.bill_fence ();
-    if t.slots_per_line > 1 then Hashtbl.reset (my_inflight t);
-    drain p run;
-    if !Hooks.access_on then announce_fence t Hooks.A_fence;
+    if t.slots_per_line > 1 then Hashtbl.reset r.inflight;
+    drain r run;
+    if !Hooks.access_on then announce t Hooks.A_fence ~seq:(-1);
     Hooks.yield ()
   end
 
 let pending_count t =
   Mutex.lock t.mutex;
-  let n =
-    List.fold_left (fun acc p -> acc + p.p_len) 0 t.domain_pending
-  in
+  let n = List.fold_left (fun acc r -> acc + r.pending_len) 0 t.doms in
   Mutex.unlock t.mutex;
   n
 
 (* -- buffered persistence: the epoch clock -------------------------------- *)
-
-(* The calling domain's deferred set, same cached-record idiom as
-   [pending_key].  Unlike pending write-backs, deferred sets are also
-   drained by *other* domains (help-advance), so every append and drain is
-   under the region mutex — short sections, never across a yield. *)
-let deferred_key : deferred list ref region_cache Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { c_id = -1; c_val = ref []; c_tbl = Hashtbl.create 8 })
-
-let my_deferred t =
-  let c = Domain.DLS.get deferred_key in
-  if c.c_id = t.id then c.c_val
-  else begin
-    let r =
-      match Hashtbl.find_opt c.c_tbl t.id with
-      | Some r -> r
-      | None ->
-          let r = ref [] in
-          Mutex.lock t.mutex;
-          if t.down then refuse_down t;
-          t.domain_deferred <- r :: t.domain_deferred;
-          Mutex.unlock t.mutex;
-          Hashtbl.add c.c_tbl t.id r;
-          r
-    in
-    c.c_id <- t.id;
-    c.c_val <- r;
-    r
-  end
 
 let cur_epoch t = t.cur_epoch
 let durable_epoch t = t.durable_epoch
@@ -467,24 +419,10 @@ let epoch_len t = t.epoch_len
 let deferred_count t =
   Mutex.lock t.mutex;
   let n =
-    List.fold_left (fun acc r -> acc + List.length !r) 0 t.domain_deferred
+    List.fold_left (fun acc r -> acc + List.length r.deferred) 0 t.doms
   in
   Mutex.unlock t.mutex;
   n
-
-let announce_epoch t op seq =
-  Hooks.access_point
-    {
-      Hooks.a_op = op;
-      a_slot = -1;
-      a_pair = -1;
-      a_region = t.id;
-      a_domain = (Domain.self () :> int);
-      a_tid = Hooks.tid ();
-      a_seq = seq;
-      a_line = -1;
-      a_protocol = Hooks.in_protocol ();
-    }
 
 (** Commit every epoch up to [target]: close the open epoch if [target]
     includes it, drain all domains' deferred records tagged [<= target],
@@ -507,16 +445,16 @@ let advance_to t ~target =
         List.iter
           (fun r ->
             let keep, take =
-              List.partition (fun d -> d.d_epoch > target) !r
+              List.partition (fun d -> d.d_epoch > target) r.deferred
             in
-            r := keep;
+            r.deferred <- keep;
             records := take @ !records)
-          t.domain_deferred;
+          t.doms;
         Mutex.unlock t.mutex;
         if target > t.durable_epoch then begin
           (if !records <> [] then begin
              if !Hooks.access_on then
-               announce_epoch t Hooks.A_epoch_close target;
+               announce t Hooks.A_epoch_close ~seq:target;
              (* newest version per slot: batching turns n persists of one
                 line into one flush *)
              let best : (int, deferred) Hashtbl.t = Hashtbl.create 16 in
@@ -538,7 +476,7 @@ let advance_to t ~target =
           let s = Stats.get () in
           s.Stats.epoch_advance <- s.Stats.epoch_advance + 1;
           if !Hooks.access_on then
-            announce_epoch t Hooks.A_epoch_bump target;
+            announce t Hooks.A_epoch_bump ~seq:target;
           Hooks.yield ()
         end)
 
@@ -547,9 +485,11 @@ let advance_to t ~target =
     [flush] thunk must persist a snapshot captured at record time. *)
 let record_deferred t ~uid ~ver ~flush =
   check_up t;
-  let r = my_deferred t in
+  let r = mine t in
   Mutex.lock t.mutex;
-  r := { d_epoch = t.cur_epoch; d_uid = uid; d_ver = ver; d_flush = flush } :: !r;
+  r.deferred <-
+    { d_epoch = t.cur_epoch; d_uid = uid; d_ver = ver; d_flush = flush }
+    :: r.deferred;
   t.cur_count <- t.cur_count + 1;
   let full = t.cur_count >= t.epoch_len in
   let target = t.cur_epoch in
@@ -604,17 +544,17 @@ let crash ?(policy = Adversarial) t =
     | Adversarial -> false
     | Eviction p -> Random.State.float t.rng 1.0 < p
   in
-  (* 1. un-fenced flushes (every domain's): apply the policy *)
+  (* 1. every domain's un-fenced flushes: apply the policy; its in-flight
+     line marks and its deferred persists die with the cache.  The epoch
+     clock restarts just past the durable slot: writes from epochs the
+     durable slot does not cover are pruned by the slot resets below (each
+     consults [durable_epoch]). *)
   List.iter
-    (fun p -> drain p (fun f -> if survive () then f ()))
-    t.domain_pending;
-  (* 1a. in-flight line marks die with the cache *)
-  List.iter Hashtbl.reset t.domain_inflight;
-  (* 1b. buffered epochs: the deferred sets die with the cache, and the
-     epoch clock restarts just past the durable slot.  Writes from epochs
-     the durable slot does not cover are pruned by the slot resets below
-     (each consults [durable_epoch]). *)
-  List.iter (fun r -> r := []) t.domain_deferred;
+    (fun r ->
+      drain r (fun f -> if survive () then f ());
+      if t.slots_per_line > 1 then Hashtbl.reset r.inflight;
+      r.deferred <- [])
+    t.doms;
   t.cur_count <- 0;
   t.cur_epoch <- t.durable_epoch + 1;
   Atomic.set t.advancing false;

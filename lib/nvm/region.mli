@@ -7,7 +7,9 @@
     [runtime_evict_prob] simulates spontaneous cache eviction (an algorithm
     must tolerate *more* than it flushed becoming durable).
 
-    Pending write-backs live in per-domain sets.  When elision mode is on
+    Each domain that touches a region gets one record of its persistence
+    state there — pending write-backs, in-flight lines, deferred persists —
+    which lives and dies with the region.  When elision mode is on
     ([elide]), a {!fence} whose domain has nothing pending and a
     {!Slot.flush} of a clean line are free no-ops, counted in
     {!Stats.t.fence_elided} / {!Stats.t.flush_elided} — the redundant-persist

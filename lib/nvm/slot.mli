@@ -190,3 +190,8 @@ val pair : 'a t -> int
 val line : 'a t -> Region.line option
 (** The cache line this slot was carved from ([None] on slot-granular
     regions and buffered slots). *)
+
+val announce : 'a t -> Hooks.access_op -> seq:int -> unit
+(** Announce one access event on this slot: its uid, pair, region and
+    line, with the acting domain and thread.  Call sites test
+    [!Hooks.access_on] first, so the uninstrumented path pays one load. *)

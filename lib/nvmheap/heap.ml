@@ -579,8 +579,7 @@ let ws_steal victim =
     allocated blocks in its chunk), or residue beyond the heap end. *)
 let recover ?(domains = 1) ?runner t ~(trace : int -> int list) =
   if domains < 1 then invalid_arg "Heap.recover: domains must be >= 1";
-  let interrupted = Region.begin_recovery t.region in
-  ignore (interrupted : bool);
+  let (_ : bool) = Region.begin_recovery t.region in
   Hooks.with_recovery @@ fun () ->
   Mutex.lock t.recover_mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.recover_mu) @@ fun () ->

@@ -183,8 +183,8 @@ let cast_checked rel = List.exists (fun d -> under d rel) cast_dirs
 let region_data_plane =
   [
     "fence"; "place"; "place_near"; "line_add_member"; "line_persist_members";
-    "line_in_flight"; "mark_line_flushed"; "record_deferred"; "announce_fence";
-    "announce_epoch"; "advance_to"; "evicting"; "maybe_evict";
+    "line_in_flight"; "mark_line_flushed"; "record_deferred"; "announce";
+    "advance_to"; "evicting"; "maybe_evict";
     "register_slot"; "register_volatile";
   ]
 

@@ -7,4 +7,4 @@ let () =
    @ T_more_dstruct.suite @ T_harris.suite @ T_harness.suite @ T_elision.suite
    @ T_buffered.suite @ T_mcheck.suite @ T_psan.suite @ T_recovery_par.suite
    @ T_diff_fuzz.suite @ T_line.suite @ T_slint.suite @ T_litmus.suite
-   @ T_scaling.suite)
+   @ T_scaling.suite @ T_registration.suite)

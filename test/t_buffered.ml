@@ -143,6 +143,37 @@ let test_rollback_to_committed_epoch () =
   Alcotest.(check int) "rolled back to the committed epoch's newest write" 4
     (Patomic.load v)
 
+(* Deferred records are kept per domain but drained by any advancer: a
+   record a spawned domain left in the open epoch is made durable by the
+   main domain's help-advance, and a crash before that advance rolls it
+   back and drops the record, so no later advance commits it. *)
+let test_cross_domain_deferred () =
+  let after_crash ~advance =
+    let r = Region.create ~epoch_len:8 () in
+    let v = Patomic.make ~discipline:Patomic.Buffered r 0 in
+    Domain.join (Domain.spawn (fun () -> Patomic.store v 1));
+    Alcotest.(check int) "the spawned domain's record" 1
+      (Region.deferred_count r);
+    if advance then begin
+      Region.help_advance r;
+      Alcotest.(check int) "drained by the main domain" 0
+        (Region.deferred_count r);
+      Alcotest.(check int) "its epoch committed" 1 (Region.durable_epoch r)
+    end;
+    let crash_and_recover () =
+      Region.crash r;
+      Patomic.recover v;
+      Region.mark_recovered r
+    in
+    crash_and_recover ();
+    Region.help_advance r;
+    crash_and_recover ();
+    Patomic.load v
+  in
+  Alcotest.(check int) "advanced: durable" 1 (after_crash ~advance:true);
+  Alcotest.(check int) "crash first: rolled back" 0
+    (after_crash ~advance:false)
+
 (* -- 3. help-advance races ------------------------------------------------------ *)
 
 (* An advance already in flight makes a concurrent help-advance return
@@ -368,6 +399,8 @@ let suite =
           test_crash_fence_bump_window;
         Alcotest.test_case "rollback to committed epoch" `Quick
           test_rollback_to_committed_epoch;
+        Alcotest.test_case "cross-domain deferred record" `Quick
+          test_cross_domain_deferred;
         Alcotest.test_case "empty help-advance is free" `Quick
           test_help_advance_empty_is_free;
         Alcotest.test_case "help-advance races" `Quick test_help_advance_races;

@@ -77,6 +77,28 @@ let test_coalesced_flush () =
     (Slot.persisted_value a = Some 1 && Slot.persisted_value b = Some 2)
     "one charged flush + fence persists the whole line"
 
+(* In-flight line state is per domain: a fence orders only the issuing
+   CPU's own write-backs, so a line a spawned domain flushed (and never
+   fenced) is not in flight for the main domain, whose flush of a
+   line-mate is charged, not coalesced. *)
+let test_in_flight_per_domain () =
+  let r, a, b = line_pair () in
+  Slot.store a 1;
+  Slot.store b 2;
+  Domain.join (Domain.spawn (fun () -> Slot.flush a));
+  check
+    (not (Region.line_in_flight r (Option.get (Slot.line b))))
+    "another domain's flush leaves the line idle here";
+  let s = Stats.get () in
+  let f0 = s.Stats.flush and c0 = s.Stats.flush_coalesced in
+  Slot.flush b;
+  check (s.Stats.flush - f0 = 1) "the line-mate's flush is charged";
+  check (s.Stats.flush_coalesced - c0 = 0) "and not coalesced";
+  Region.fence r;
+  check (Slot.persisted_value b = Some 2) "this domain's fence persists it";
+  Alcotest.(check int)
+    "the other domain's write-back stays pending" 1 (Region.pending_count r)
+
 let test_drain_captures_at_fence () =
   (* a line-mate dirtied *after* the line went in flight still rides the
      pending write-back: the drain captures member content at the fence *)
@@ -248,6 +270,8 @@ let suite =
         Alcotest.test_case "slots-per-line vocabulary" `Quick test_vocab;
         Alcotest.test_case "placement" `Quick test_placement;
         Alcotest.test_case "coalesced flush" `Quick test_coalesced_flush;
+        Alcotest.test_case "in flight per domain" `Quick
+          test_in_flight_per_domain;
         Alcotest.test_case "drain captures at fence" `Quick
           test_drain_captures_at_fence;
         Alcotest.test_case "line-atomic crash" `Quick test_line_atomic_crash;

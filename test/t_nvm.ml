@@ -379,6 +379,53 @@ let test_pair_named_by_slot () =
       ~buffered:false ~persist:true r b in
   check (Slot.uid y = Slot.uid x + 1) "one uid counter for both kinds"
 
+(* A domain's persistence state for a region (pending write-backs,
+   in-flight lines, deferred persists) lives and dies with the region:
+   dropping regions after a store, flush and fence on each leaves the
+   main domain's live heap where it was, to within a word per region. *)
+let test_no_state_outlives_region () =
+  let strict () =
+    let r = Region.create () in
+    let s = Slot.make ~persist:true r 0 in
+    Slot.store s 1;
+    Slot.flush s;
+    Region.fence r
+  in
+  let buffered () =
+    let r = Region.create () in
+    let s = Slot.make ~persist:true ~buffered:true r 0 in
+    Slot.store s 1;
+    Slot.persist_deferred s;
+    Region.fence r
+  in
+  let line () =
+    let r = Region.create ~slots_per_line:8 () in
+    let s = Slot.make ~persist:true ?line:(Region.place r) r 0 in
+    Slot.store s 1;
+    Slot.flush s;
+    Region.fence r
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let regions = 10_000 in
+  List.iter
+    (fun (what, round) ->
+      round ();
+      let before = live_words () in
+      for _ = 1 to regions do
+        round ()
+      done;
+      let per_region =
+        float_of_int (live_words () - before) /. float_of_int regions
+      in
+      check (per_region < 1.0)
+        (Printf.sprintf "%s: %.1f live words per dropped region" what
+           per_region))
+    [ ("strict slot", strict); ("buffered slot", buffered);
+      ("8-slot line", line) ]
+
 let suite =
   [
     ( "nvm",
@@ -405,5 +452,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_slot_model;
         Alcotest.test_case "a pair is named by its replica's slot" `Quick
           test_pair_named_by_slot;
+        Alcotest.test_case "no state outlives its region" `Quick
+          test_no_state_outlives_region;
       ] );
   ]
