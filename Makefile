@@ -75,20 +75,21 @@ bench-smoke:
 # informational; perfbench/run.py is the benchmark proper.  One figure is
 # a gate: mem_bytes_per_key of kv-read, kv-update and kv-buffered, read
 # from each run's last (JSON) line, must not exceed that workload's
-# ceiling.  It is deterministic to about 0.01 B (368.03 B per key at seed
-# 1, 46 words: two buckets of a 12-word head variable and an array cell,
-# the node, its 12-word `next` variable and the 4-word entry its insert
+# ceiling.  It is deterministic to about 0.01 B (320.03 B per key at seed
+# 1, 40 words: two buckets of a 10-word head variable and an array cell,
+# the node, its 10-word `next` variable and the 4-word entry its insert
 # installed in the predecessor field; every field still holding Nil
-# shares the table's one birth entry), so a layout regression fails here
-# instead of passing silently: with 15-word variables it measured
-# 440.03 B.  kv-buffered measures 416.37 B (488.37 B with 15-word
-# variables): its Nil-born fields also share the birth's one-element
-# media history.
+# shares the table's one birth entry, and a slot's region, home and line
+# live in a place record shared with its neighbours), so a layout
+# regression fails here instead of passing silently: with 7-word slots it
+# measured 368.03 B, with 15-word variables 440.03 B.  kv-buffered
+# measures 368.37 B (416.37 B with 7-word slots): its Nil-born fields
+# also share the birth's one-element media history.
 # Each ceiling is its measured value plus 6 B of headroom.  Each run's
 # output lands in $(ARTIFACTS).
 PERFBENCH = ./_build/default/perfbench/bench.exe
-MEM_CEILING_B = 374
-MEM_CEILING_BUFFERED_B = 422
+MEM_CEILING_B = 326
+MEM_CEILING_BUFFERED_B = 374
 
 perfbench-smoke:
 	dune build ./perfbench/bench.exe

@@ -25,10 +25,12 @@
     (the persistent replica's slot uid) and the discipline are read from
     [repp]'s slot; and "not recovered since the last crash" is a
     negative version on the [repv] entry ({!Mirror_nvm.Slot.stale}).  A
-    strict variable is 16 words in all: this block, the slot (7), its
-    media block (2) and the shared entry (4).  Variables born with one
-    value may start on one {!Mirror_nvm.Slot.birth} ({!make_born}): each
-    is then 12 words plus its share of the birth's 4.
+    strict variable is 14 words in all: this block, the slot (5), its
+    media block (2) and the shared entry (4); the slot's region, home and
+    cache line are a place it shares with its neighbours.  Variables born
+    with one value may start on one {!Mirror_nvm.Slot.birth}
+    ({!make_born}): each is then 10 words plus its share of the birth's
+    4.
 
     Invariants maintained (proved as Lemmas 5.3–5.5 in the paper, checked by
     the test suite under deterministic interleavings):
@@ -93,16 +95,16 @@ let of_repp (placement : placement) region repp =
   t
 
 let make_born ?(placement = (Dram : placement)) ?(discipline = Strict)
-    ?(persist = true) ?line region b =
+    ?(persist = true) ?place region b =
   (* cache-line placement (line granularity, docs/MODEL.md): strict repp
      slots are carved from a line — the caller's ([make_near]'s) if given,
      else a fresh one — so an object's fields can share write-backs.
      Buffered variables persist through the epoch clock and take no line.
      On slot-granular regions [place] returns [None] and nothing changes. *)
-  let line =
-    match (discipline, line) with
+  let place =
+    match (discipline, place) with
     | Buffered, _ -> None
-    | Strict, (Some _ as l) -> l
+    | Strict, (Some _ as p) -> p
     | Strict, None -> Region.place region
   in
   (* allocation-time copy to NVMM + clwb (paper §4.3.2): billed in the
@@ -111,10 +113,10 @@ let make_born ?(placement = (Dram : placement)) ?(discipline = Strict)
      ordering fence is folded into the next protocol fence *)
   of_repp placement region
     (Slot.make_replica ~paired:true ~buffered:(discipline = Buffered)
-       ~persist ?line region b)
+       ~persist ?place region b)
 
-let make ?placement ?discipline ?persist ?line region v =
-  make_born ?placement ?discipline ?persist ?line region (Slot.birth v)
+let make ?placement ?discipline ?persist ?place region v =
+  make_born ?placement ?discipline ?persist ?place region (Slot.birth v)
 
 let make_buffered_born region b =
   of_repp Dram region (Slot.make_buffered_replica ~paired:true region b)
@@ -299,7 +301,7 @@ let load_recovery t =
 (* -- introspection (tests, invariant checking) --------------------------- *)
 
 let discipline t = if Slot.buffered (repp t) then Buffered else Strict
-let line t = Slot.line (repp t)
+let place t = Slot.place (repp t)
 let entry_v t = Atomic.get (repv_atomic t)
 let entry_p t = Slot.peek_entry (repp t)
 let seq_v t = (entry_v t).ver

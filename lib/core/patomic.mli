@@ -27,7 +27,7 @@ val make :
   ?placement:placement ->
   ?discipline:discipline ->
   ?persist:bool ->
-  ?line:Mirror_nvm.Region.line ->
+  ?place:Mirror_nvm.Region.place ->
   Mirror_nvm.Region.t ->
   'a ->
   'a t
@@ -35,9 +35,9 @@ val make :
     allocator's copy-to-NVMM + write-back (§4.3.2); allocation-time
     persists stay strict even under [Buffered] (off-path, exactly like the
     sharded allocator's metadata persists).  [discipline] defaults to
-    {!Strict}.  [line] carves the persistent replica from a specific cache
-    line ({!Mirror_nvm.Region.place_near}) so an object's fields share
-    write-backs; by default a strict variable claims a fresh line.  On
+    {!Strict}.  [place] carves the persistent replica from a specific
+    cache line ({!Mirror_nvm.Region.place_near}) so an object's fields
+    share write-backs; by default a strict variable claims a fresh line.  On
     slot-granular regions ([slots_per_line = 1]) and under [Buffered] the
     parameter is ignored.  [make … v] is [make_born … (Slot.birth v)]. *)
 
@@ -45,13 +45,13 @@ val make_born :
   ?placement:placement ->
   ?discipline:discipline ->
   ?persist:bool ->
-  ?line:Mirror_nvm.Region.line ->
+  ?place:Mirror_nvm.Region.place ->
   Mirror_nvm.Region.t ->
   'a Mirror_nvm.Slot.birth ->
   'a t
 (** {!make} from a birth ({!Mirror_nvm.Slot.birth}) that other variables
     may share: both replicas start on that one entry, so a variable costs
-    12 words instead of 16.  Billing and events are {!make}'s: the
+    10 words instead of 14.  Billing and events are {!make}'s: the
     variable still pays its own allocation-time write + flush and
     announces its own [A_make] at seq 0. *)
 
@@ -92,11 +92,10 @@ val load_recovery : 'a t -> 'a
 
 val discipline : 'a t -> discipline
 
-val line : 'a t -> Mirror_nvm.Region.line option
-(** The cache line the persistent replica was carved from ([None] on
-    slot-granular regions and buffered variables) — pass to {!make} via
-    {!Mirror_nvm.Region.place_near} to co-locate a new field with this
-    one. *)
+val place : 'a t -> Mirror_nvm.Region.place
+(** Where the persistent replica lives ({!Mirror_nvm.Slot.place}) — pass
+    to {!make} via {!Mirror_nvm.Region.place_near} to co-locate a new
+    field with this one on its cache line. *)
 
 val entry_v : 'a t -> 'a Mirror_nvm.Slot.entry
 (** The volatile replica's cell; after a crash and until {!recover}, its

@@ -25,8 +25,12 @@
     behavior exactly).  When the region's elision mode is on, a fence that
     finds its domain's pending stack empty is a no-op — it is counted as
     [fence_elided] and charges no latency (Cai et al., *Fast Nonblocking
-    Persistence*: fences can be elided when no write-back is pending).  The
-    records hang off the region, so they die with it. *)
+    Persistence*: fences can be elided when no write-back is pending).
+
+    A slot reaches its region, home thread and cache line through one
+    shared {!place}: one per carved line, one per home thread for lineless
+    slots.  The records and the lineless places hang off the region, so
+    they die with it. *)
 
 type crash_policy =
   | Adversarial
@@ -53,7 +57,6 @@ type deferred = {
     Members are appended at slot-allocation time and never removed. *)
 type line = {
   l_uid : int;
-  l_home : int;  (** home domain: the logical thread that carved the line *)
   mutable l_filled : int;  (** slots carved so far (≤ [slots_per_line]) *)
   mutable l_members : (unit -> unit) list;
   mutable l_resets : (persist_first:bool -> unit) list;
@@ -78,7 +81,19 @@ type dom = {
   mutable deferred : deferred list;  (** deferred persists, newest first *)
 }
 
-type t = {
+(** Where a slot lives: its region, its home and its cache line.  Every
+    slot carved from one line shares the line's place; every lineless slot
+    one logical thread allocates in one region shares that thread's place
+    ([homes]).  Immutable. *)
+type place = {
+  region : t;
+  home : int;
+      (** home domain of the memory: the line's carver, or the allocating
+          logical thread ({!Hooks.tid}) when lineless *)
+  line : line option;
+}
+
+and t = {
   id : int;  (** carried on access events; names a {!dom}'s region *)
   slots_per_line : int;
       (** slots carved per simulated cache line; [1] = the historical
@@ -99,6 +114,10 @@ type t = {
   mutable doms : dom list;
       (** every domain's record for this region, newest first; prepended
           under [mutex] *)
+  mutable homes : place array;
+      (** the lineless place of each home thread, indexed by home: a cell
+          whose place has another home is vacant.  Read unlocked, replaced
+          by a grown copy under [mutex] *)
   elide : bool;
       (** flush/fence elision mode: skip (and count as elided) flushes of
           clean lines and fences with nothing pending *)
@@ -156,6 +175,7 @@ let create ?(track_slots = true) ?(runtime_evict_prob = 0.0) ?(seed = 0xC0FFEE)
     down = false;
     track_slots;
     doms = [];
+    homes = [||];
     elide;
     rng = Random.State.make [| seed |];
     runtime_evict_prob;
@@ -312,18 +332,55 @@ let drain r f =
 
 let run thunk = thunk ()
 
-(* -- cache lines ---------------------------------------------------------- *)
+(* -- places and cache lines ------------------------------------------------ *)
 
-(** Carve a fresh cache line and claim its first slot.  [None] when the
-    region is slot-granular ([slots_per_line = 1]): no lines exist, every
-    path below degenerates to the historical behavior. *)
+(* A thread's first lineless place in [t], published under the mutex in
+   the vacant cell of [homes] at its home; a short array is replaced by a
+   grown copy whose fresh cells all hold the new place, which names every
+   one of them but its own vacant.  A negative home is never cached. *)
+let new_home_place t home =
+  let p = { region = t; home; line = None } in
+  if home < 0 then p
+  else begin
+    Mutex.lock t.mutex;
+    let a = t.homes in
+    let n = Array.length a in
+    let p =
+      if home >= n then begin
+        let a' = Array.make (max (home + 1) (2 * n)) p in
+        Array.blit a 0 a' 0 n;
+        t.homes <- a';
+        p
+      end
+      else if a.(home).home = home then a.(home)
+      else begin
+        a.(home) <- p;
+        p
+      end
+    in
+    Mutex.unlock t.mutex;
+    p
+  end
+
+(* The calling thread's lineless place: after its first, one unlocked
+   array read, no allocation. *)
+let home_place t =
+  let home = Hooks.tid () in
+  let a = t.homes in
+  if home >= 0 && home < Array.length a && (Array.unsafe_get a home).home = home
+  then Array.unsafe_get a home
+  else new_home_place t home
+
+(** Carve a fresh cache line and claim its first slot: the line's place,
+    homed at the calling thread.  [None] when the region is slot-granular
+    ([slots_per_line = 1]): no lines exist, every path below degenerates
+    to the historical behavior. *)
 let place t =
   if t.slots_per_line <= 1 then None
   else begin
     let l =
       {
         l_uid = Atomic.fetch_and_add next_line_uid 1;
-        l_home = Hooks.tid ();
         l_filled = 1;
         l_members = [];
         l_resets = [];
@@ -334,24 +391,23 @@ let place t =
       t.lines <- l :: t.lines;
       Mutex.unlock t.mutex
     end;
-    Some l
+    Some { region = t; home = Hooks.tid (); line = Some l }
   end
 
 (** Claim a slot on [near]'s line if it has room, else carve a fresh line —
     the allocator's co-location primitive: an object's fields placed near
     each other share one write-back. *)
 let place_near t near =
-  match near with
+  match near.line with
   | Some l when t.slots_per_line > 1 ->
       Mutex.lock t.mutex;
       let ok = l.l_filled < t.slots_per_line in
       if ok then l.l_filled <- l.l_filled + 1;
       Mutex.unlock t.mutex;
-      if ok then Some l else place t
+      if ok then Some near else place t
   | _ -> place t
 
 let line_uid l = l.l_uid
-let line_home l = l.l_home
 
 (** Register a member slot with its line: [persist] write-backs the slot's
     current content (called when the line's pending flush drains or the
@@ -372,15 +428,37 @@ let line_persist_members l = List.iter (fun p -> p ()) l.l_members
     flush of an in-flight line is absorbed by the pending write-back. *)
 let line_in_flight t l = Hashtbl.mem (mine t).inflight l.l_uid
 
-(** Mark [l] flushed by the calling domain: the first mark records one
-    pending write-back covering the whole line (member content captured
-    when the fence drains — a legal write-back instant, and the latest
-    one); subsequent marks before the fence are the coalescing no-op. *)
+(* Mark [l], not in flight for [r]'s domain, flushed: one pending
+   write-back covering the whole line (member content captured when the
+   fence drains — a legal write-back instant, and the latest one). *)
+let mark r l =
+  Hashtbl.add r.inflight l.l_uid ();
+  push r (fun () -> line_persist_members l)
+
+(** Mark [l] flushed by the calling domain; marks before the fence after
+    the first are the coalescing no-op. *)
 let mark_line_flushed t l =
   let r = mine t in
-  if not (Hashtbl.mem r.inflight l.l_uid) then begin
-    Hashtbl.add r.inflight l.l_uid ();
-    push r (fun () -> line_persist_members l)
+  if not (Hashtbl.mem r.inflight l.l_uid) then mark r l
+
+(** A [clwb] of [p]'s line [l] by the calling domain: absorbed by the
+    pending write-back when the line is already in flight (persist point
+    and count [flush_coalesced], no bill, [true]); otherwise the persist
+    point, the flush billed at [p]'s home, then the mark ([false]).  One
+    record lookup and one probe before the mark. *)
+let flush_line p l =
+  let r = mine p.region in
+  if Hashtbl.mem r.inflight l.l_uid then begin
+    Hooks.persist_point Hooks.Flush_coalesced;
+    let s = Stats.get () in
+    s.Stats.flush_coalesced <- s.Stats.flush_coalesced + 1;
+    true
+  end
+  else begin
+    Hooks.persist_point Hooks.Flush;
+    Stats.bill_flush ~home:p.home;
+    mark r l;
+    false
   end
 
 (** [sfence]: all write-backs recorded by the calling domain are now

@@ -29,6 +29,20 @@ type line
     already in flight is absorbed ([flush_coalesced]) — and their crash
     fate (one survival draw for all members). *)
 
+type place = private {
+  region : t;
+  home : int;
+      (** the home domain of the memory: the logical thread ({!Hooks.tid})
+          that carved the line, or that allocated the slot when lineless.
+          Accesses from other threads pay the NUMA remote-line surcharge
+          when {!Latency.numa_remote_ns} is non-zero. *)
+  line : line option;
+}
+(** Where a slot lives, shared by every slot that lives there: one place
+    per carved line, and one per (region, home) for lineless slots
+    ({!home_place}).  Places hang off their region and die with it; making
+    one draws no slot or line uid. *)
+
 val create :
   ?track_slots:bool ->
   ?runtime_evict_prob:float ->
@@ -95,21 +109,21 @@ val add_pending : t -> (unit -> unit) -> unit
 
 val slots_per_line : t -> int
 
-val place : t -> line option
-(** Carve a fresh line and claim its first slot ([None] when the region is
-    slot-granular). *)
+val home_place : t -> place
+(** The lineless place of the calling logical thread in this region: made
+    on the thread's first call, then found with one unlocked array read
+    and no allocation. *)
 
-val place_near : t -> line option -> line option
-(** Claim a slot on the given line if it has room, else carve a fresh
+val place : t -> place option
+(** Carve a fresh line and claim its first slot: the line's place, homed
+    at the calling thread ([None] when the region is slot-granular). *)
+
+val place_near : t -> place -> place option
+(** Claim a slot on [near]'s line if it has room, else carve a fresh
     line — the co-location primitive: an object's fields placed near each
-    other share one write-back. *)
+    other share one write-back.  A lineless [near] carves fresh. *)
 
 val line_uid : line -> int
-
-val line_home : line -> int
-(** The line's home domain: the logical thread ({!Hooks.tid}) that carved
-    it.  Accesses from other threads pay the NUMA remote-line surcharge
-    when {!Latency.numa_remote_ns} is non-zero. *)
 
 val line_add_member :
   t ->
@@ -137,6 +151,14 @@ val mark_line_flushed : t -> line -> unit
     one pending write-back covering the whole line; later marks before the
     fence are the coalescing no-op.  {!fence} and {!crash} clear the
     in-flight marks. *)
+
+val flush_line : place -> line -> bool
+(** [flush_line p l], [l] being [p]'s line: a charged [clwb] of the line
+    by the calling domain, {!Slot.flush}'s line branch.  When the line is
+    already in flight it is absorbed: the [Flush_coalesced] persist point,
+    one {!Stats.t.flush_coalesced}, and [true].  Otherwise the [Flush]
+    persist point, the flush billed at [p]'s home, then the mark of
+    {!mark_line_flushed}, and [false]. *)
 
 val fence : t -> unit
 (** [sfence]: commit the calling domain's pending write-backs.  Charges the

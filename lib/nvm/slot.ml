@@ -17,7 +17,7 @@
     value may start on one birth: a slot's version still names exactly one
     entry between two crashes, and no write ever touches a birth, so the
     physical compare of entries stays the (value, version) compare.  A
-    slot is then 7 + 2 words (record and media block) plus its share of
+    slot is then 5 + 2 words (record and media block) plus its share of
     the birth's 4.
 
     Versions keep write-backs monotone: on real hardware two [clwb]s of the
@@ -28,8 +28,10 @@
     discipline (strict or buffered) and whether a crash lost it (a
     constant constructor per discipline).  One [id] word names both the
     slot and, on a Mirror pair's persistent replica, the pair: a pair is
-    named by that one slot's uid.  So the record is 7 words (56 bytes
-    with its header).
+    named by that one slot's uid.  Where the slot lives — its region, its
+    home and its cache line — is one {!Region.place} shared by every slot
+    of its line, or by every lineless slot one thread made in its region.
+    So the record is 5 words (40 bytes with its header).
 
     Slots bill each NVMM access through {!Stats} (its counter and its
     {!Latency} cost), and call {!Hooks.yield} at each atomic step so the
@@ -80,7 +82,6 @@ type 'a t = {
   mutable current : 'a entry;
       (** the coherent view.  Must stay field 0 and must only be accessed
           through {!current_atomic}. *)
-  region : Region.t;
   mutable media : 'a media;
       (** the persisted state; [Front] and [Lost_buffered] mark a buffered
           slot: writes tag the open epoch and persists are recorded into
@@ -92,15 +93,13 @@ type 'a t = {
       (** the slot's uid (global location identity, for access-event
           attribution) when the slot is a Mirror pair's persistent
           replica, which names the pair; [lnot uid] (negative) otherwise *)
-  line : Region.line option;
-      (** the cache line this slot was carved from ([None] on slot-granular
-          regions and on buffered slots): line-mates share write-backs —
-          a flush of a line already in flight coalesces — and crash fate *)
-  home : int;
-      (** home domain of the slot's memory: its line's carver, or the
-          allocating logical thread when lineless.  Accesses from other
-          threads pay the NUMA remote-line surcharge when the
-          {!Latency.numa_remote_ns} knob is on. *)
+  place : Region.place;
+      (** where the slot lives, shared with the slots living there: its
+          region, its home (the line's carver, or the allocating logical
+          thread when lineless) and its cache line ([None] on
+          slot-granular regions and on buffered slots): line-mates share
+          write-backs — a flush of a line already in flight coalesces —
+          and crash fate *)
 }
 
 (* OCaml 5.1's [Atomic] primitives act on field 0 of the block they are
@@ -112,6 +111,10 @@ external current_atomic : 'a t -> 'a entry Atomic.t = "%identity"
 let next_uid = Atomic.make 0
 let uid t = if t.id >= 0 then t.id else lnot t.id
 let pair t = if t.id >= 0 then t.id else -1
+let place t = t.place
+let region t = t.place.Region.region
+let line t = t.place.Region.line
+let home t = t.place.Region.home
 
 let buffered t =
   match t.media with
@@ -124,7 +127,7 @@ let is_lost t =
   | Newest _ | Front _ -> false
 
 (* The epoch tag for a fresh write on this slot. *)
-let write_epoch t = if buffered t then Region.cur_epoch t.region else 0
+let write_epoch t = if buffered t then Region.cur_epoch (region t) else 0
 
 (* A slot's ver-0 entry.  Immutable once built: no install ever writes
    it, since every install is of a fresh entry with [ver >= 1] (see
@@ -156,12 +159,11 @@ let announce t op ~seq =
       Hooks.a_op = op;
       a_slot = uid t;
       a_pair = pair t;
-      a_region = Region.id t.region;
+      a_region = Region.id (region t);
       a_domain = (Domain.self () :> int);
       a_tid = Hooks.tid ();
       a_seq = seq;
-      a_line =
-        (match t.line with Some l -> Region.line_uid l | None -> -1);
+      a_line = (match line t with Some l -> Region.line_uid l | None -> -1);
       a_protocol = Hooks.in_protocol ();
     }
 
@@ -228,7 +230,9 @@ let rec persist_front t cell e =
   let old = Atomic.get cell in
   if not (covers e old) then
     let front =
-      prune_committed (Region.durable_epoch t.region) false (insert_entry e old)
+      prune_committed
+        (Region.durable_epoch (region t))
+        false (insert_entry e old)
     in
     if not (Atomic.compare_and_set cell old front) then persist_front t cell e
 
@@ -270,7 +274,7 @@ let reset_media t =
       else Atomic.set (current_atomic t) p
   | Front _ as m -> (
       let cell = front_atomic m in
-      let de = Region.durable_epoch t.region in
+      let de = Region.durable_epoch (region t) in
       let hist = Atomic.get cell in
       let rolled_back = List.exists (fun p -> p.ep > de) hist in
       match List.filter (fun p -> p.ep <= de) hist with
@@ -290,29 +294,20 @@ let reset t ~persist_first =
   if persist_first then persist_monotone t (Atomic.get (current_atomic t));
   reset_media t
 
-let create ~persist ~charge_copy ~paired line region (e : 'a birth) media =
+let create ~persist ~charge_copy ~paired place region (e : 'a birth) media =
+  let id =
+    let uid = Atomic.fetch_and_add next_uid 1 in
+    if paired then uid else lnot uid
+  in
   (* buffered slots persist through the epoch clock, never through line
      write-backs: they take no line *)
-  let line =
-    match media with
-    | Front _ | Lost_buffered -> None
-    | Newest _ | Lost_strict -> line
+  let place =
+    match (media, place) with
+    | (Newest _ | Lost_strict), Some p -> p
+    | _ -> Region.home_place region
   in
-  let t =
-    {
-      current = e;
-      region;
-      media;
-      id =
-        (let uid = Atomic.fetch_and_add next_uid 1 in
-         if paired then uid else lnot uid);
-      line;
-      home =
-        (match line with
-        | Some l -> Region.line_home l
-        | None -> Hooks.tid ());
-    }
-  in
+  let t = { current = e; media; id; place } in
+  let line = place.Region.line in
   (match line with
   | None -> Region.register_slot region reset t
   | Some l ->
@@ -355,12 +350,12 @@ let create ~persist ~charge_copy ~paired line region (e : 'a birth) media =
     announce t Hooks.A_flush_coalesced ~seq:e.ver;
   t
 
-let make_born ?(persist = false) ?(buffered = false) ?line region b =
-  create ~persist ~charge_copy:false ~paired:false line region b
+let make_born ?(persist = false) ?(buffered = false) ?place region b =
+  create ~persist ~charge_copy:false ~paired:false place region b
     (media ~persist ~buffered b)
 
-let make ?persist ?buffered ?line region v =
-  make_born ?persist ?buffered ?line region (birth v)
+let make ?persist ?buffered ?place region v =
+  make_born ?persist ?buffered ?place region (birth v)
 
 (* The flags are labelled, not optional: every caller passes all three.
    This also keeps a build without cross-module inlining (the dev
@@ -370,14 +365,14 @@ let make_buffered_replica ~paired region (fb : 'a buffered_birth) =
   create ~persist:true ~charge_copy:true ~paired None region (List.hd fb)
     (Front { front = fb })
 
-let make_replica ~paired ~buffered ~persist ?line region b =
+let make_replica ~paired ~buffered ~persist ?place region b =
   if buffered && persist then make_buffered_replica ~paired region [ b ]
   else
-    create ~persist ~charge_copy:persist ~paired line region b
+    create ~persist ~charge_copy:persist ~paired place region b
       (media ~persist ~buffered b)
 
 let check t =
-  Region.check_up t.region;
+  Region.check_up (region t);
   match t.media with
   | Lost_strict | Lost_buffered ->
       invalid_arg
@@ -389,7 +384,7 @@ let check t =
 let load_entry t =
   Hooks.yield ();
   check t;
-  Stats.bill_nvm_read ~home:t.home;
+  Stats.bill_nvm_read ~home:(home t);
   let e = Atomic.get (current_atomic t) in
   if !Hooks.access_on then announce t Hooks.A_load ~seq:e.ver;
   e
@@ -400,8 +395,8 @@ let load t = (load_entry t).v
    eviction probability.  Callers test {!Region.evicting} first, so the
    closure is only built on regions that simulate eviction. *)
 let evict t e =
-  Region.maybe_evict t.region (fun () ->
-      match t.line with
+  Region.maybe_evict (region t) (fun () ->
+      match line t with
       | Some l -> Region.line_persist_members l
       | None -> persist_monotone t e)
 
@@ -412,7 +407,7 @@ let rec store_loop t v =
   let e = { v; ver = cur.ver + 1; ep = write_epoch t } in
   if Atomic.compare_and_set (current_atomic t) cur e then begin
     if !Hooks.access_on then announce t Hooks.A_store ~seq:e.ver;
-    if Region.evicting t.region then evict t e
+    if Region.evicting (region t) then evict t e
   end
   else store_loop t v
 
@@ -424,7 +419,7 @@ let install t cur e =
   e.ep <- write_epoch t;
   if Atomic.compare_and_set (current_atomic t) cur e then begin
     if !Hooks.access_on then announce t (Hooks.A_cas true) ~seq:e.ver;
-    if Region.evicting t.region then evict t e;
+    if Region.evicting (region t) then evict t e;
     true
   end
   else false
@@ -471,8 +466,8 @@ let begin_write t ev =
   check t;
   Hooks.persist_point ev;
   match ev with
-  | Hooks.Write -> Stats.bill_nvm_write ~home:t.home
-  | _ -> Stats.bill_nvm_cas ~home:t.home
+  | Hooks.Write -> Stats.bill_nvm_write ~home:(home t)
+  | _ -> Stats.bill_nvm_cas ~home:(home t)
 
 (** Unconditional store.  Versions stay monotone under concurrency. *)
 let store t v =
@@ -529,7 +524,9 @@ let elide ?line t ~seq =
   Hooks.persist_point Hooks.Flush_elided;
   let s = Stats.get () in
   s.Stats.flush_elided <- s.Stats.flush_elided + 1;
-  (match line with Some l -> Region.mark_line_flushed t.region l | None -> ());
+  (match line with
+  | Some l -> Region.mark_line_flushed (region t) l
+  | None -> ());
   if !Hooks.access_on then
     announce t Hooks.A_flush_elided
       ~seq:
@@ -551,31 +548,24 @@ let elide ?line t ~seq =
 let flush t =
   Hooks.yield ();
   check t;
-  if Region.elision t.region && not (is_dirty t) then
-    elide ?line:t.line t ~seq:seq_at_announce
+  if Region.elision (region t) && not (is_dirty t) then
+    elide ?line:(line t) t ~seq:seq_at_announce
   else
-    match t.line with
-    | Some l when Region.line_in_flight t.region l ->
-        (* the line is already in flight for this domain: this [clwb] is
-           absorbed by the pending write-back (which captures member
-           content when the fence drains — at or after this instant) *)
-        Hooks.persist_point Hooks.Flush_coalesced;
-        let s = Stats.get () in
-        s.Stats.flush_coalesced <- s.Stats.flush_coalesced + 1;
-        if !Hooks.access_on then
-          announce t Hooks.A_flush_coalesced
-            ~seq:(Atomic.get (current_atomic t)).ver
+    match line t with
     | Some l ->
-        Hooks.persist_point Hooks.Flush;
-        Stats.bill_flush ~home:t.home;
-        Region.mark_line_flushed t.region l;
+        (* a line already in flight for this domain absorbs this [clwb]
+           into its pending write-back (which captures member content when
+           the fence drains — at or after this instant) *)
+        let coalesced = Region.flush_line t.place l in
         if !Hooks.access_on then
-          announce t Hooks.A_flush ~seq:(Atomic.get (current_atomic t)).ver
+          announce t
+            (if coalesced then Hooks.A_flush_coalesced else Hooks.A_flush)
+            ~seq:(Atomic.get (current_atomic t)).ver
     | None ->
         Hooks.persist_point Hooks.Flush;
-        Stats.bill_flush ~home:t.home;
+        Stats.bill_flush ~home:(home t);
         let snapshot = Atomic.get (current_atomic t) in
-        Region.add_pending t.region (fun () -> persist_monotone t snapshot);
+        Region.add_pending (region t) (fun () -> persist_monotone t snapshot);
         if !Hooks.access_on then announce t Hooks.A_flush ~seq:snapshot.ver
 
 (* The epoch advancer's flush of a deferred snapshot: the charged-cost
@@ -584,12 +574,12 @@ let flush t =
    when the media already covers the snapshot (e.g. spontaneous eviction
    beat the advance to it). *)
 let flush_snapshot t snapshot =
-  if Region.elision t.region && media_covers t snapshot then
+  if Region.elision (region t) && media_covers t snapshot then
     elide t ~seq:snapshot.ver
   else begin
     Hooks.persist_point Hooks.Flush;
-    Stats.bill_flush ~home:t.home;
-    Region.add_pending t.region (fun () -> persist_monotone t snapshot);
+    Stats.bill_flush ~home:(home t);
+    Region.add_pending (region t) (fun () -> persist_monotone t snapshot);
     if !Hooks.access_on then announce t Hooks.A_flush ~seq:snapshot.ver
   end;
   Hooks.yield ()
@@ -602,13 +592,13 @@ let flush_snapshot t snapshot =
 let persist_deferred t =
   Hooks.yield ();
   check t;
-  if Region.elision t.region && not (is_dirty t) then
+  if Region.elision (region t) && not (is_dirty t) then
     elide t ~seq:(Atomic.get (current_atomic t)).ver
   else begin
     let snapshot = Atomic.get (current_atomic t) in
     if !Hooks.access_on then
       announce t Hooks.A_persist_deferred ~seq:snapshot.ver;
-    Region.record_deferred t.region ~uid:(uid t) ~ver:snapshot.ver
+    Region.record_deferred (region t) ~uid:(uid t) ~ver:snapshot.ver
       ~flush:(fun () -> flush_snapshot t snapshot)
   end
 
@@ -636,7 +626,7 @@ let durable_value t =
   match t.media with
   | Newest _ | Lost_strict | Lost_buffered -> persisted_value t
   | Front _ as m -> (
-      let de = Region.durable_epoch t.region in
+      let de = Region.durable_epoch (region t) in
       match List.filter (fun p -> p.ep <= de) (Atomic.get (front_atomic m)) with
       | [] -> None
       | p :: _ -> Some p.v)
@@ -650,6 +640,3 @@ let front t =
   match t.media with
   | Front _ as m -> Atomic.get (front_atomic m)
   | Newest _ | Lost_strict | Lost_buffered -> []
-
-let region t = t.region
-let line t = t.line

@@ -38,23 +38,29 @@ val buffered_birth : 'a -> 'a buffered_birth
 type 'a t
 
 val make :
-  ?persist:bool -> ?buffered:bool -> ?line:Region.line -> Region.t -> 'a -> 'a t
+  ?persist:bool ->
+  ?buffered:bool ->
+  ?place:Region.place ->
+  Region.t ->
+  'a ->
+  'a t
 (** Fresh slot holding [v], owned by no Mirror pair ({!pair} is [-1]).
     [persist] (default [false]) marks the initial value as already
-    durable — allocation-time persistence.  [line] carves the slot from a
-    cache line obtained via {!Region.place}/{!Region.place_near}:
-    line-mates share write-backs and crash fate (ignored on buffered
-    slots).  [buffered] (default [false]) puts the slot under the buffered
-    discipline: writes tag the region's open epoch and
-    {!persist_deferred} records into the epoch's deferred set; crash
-    recovery rolls the slot back to the newest write from a committed
-    epoch ([<= Region.durable_epoch]).  [make … v] is
+    durable — allocation-time persistence.  [place] carves the slot from
+    the cache line of a place obtained via
+    {!Region.place}/{!Region.place_near}: line-mates share write-backs and
+    crash fate (ignored on buffered slots).  Without it the slot lives at
+    the calling thread's {!Region.home_place}.  [buffered] (default
+    [false]) puts the slot under the buffered discipline: writes tag the
+    region's open epoch and {!persist_deferred} records into the epoch's
+    deferred set; crash recovery rolls the slot back to the newest write
+    from a committed epoch ([<= Region.durable_epoch]).  [make … v] is
     [make_born … (birth v)]. *)
 
 val make_born :
   ?persist:bool ->
   ?buffered:bool ->
-  ?line:Region.line ->
+  ?place:Region.place ->
   Region.t ->
   'a birth ->
   'a t
@@ -64,7 +70,7 @@ val make_replica :
   paired:bool ->
   buffered:bool ->
   persist:bool ->
-  ?line:Region.line ->
+  ?place:Region.place ->
   Region.t ->
   'a birth ->
   'a t
@@ -177,6 +183,10 @@ val is_lost : 'a t -> bool
 val buffered : 'a t -> bool
 (** Whether the slot is under the buffered discipline ([~buffered:true]
     at {!make}); unchanged by a crash that loses the slot. *)
+
+val place : 'a t -> Region.place
+(** Where the slot lives: the record it shares with its line-mates, or
+    with the lineless slots its allocating thread made in its region. *)
 
 val region : 'a t -> Region.t
 

@@ -161,16 +161,24 @@ let mk_arena a_id =
     a_frees = 0;
   }
 
-(* Pack an array of words onto consecutive simulated cache lines
-   ([Region.place_near] chaining): adjacent offsets share a line, exactly
-   like real memory, so a multi-word object carved from consecutive words
-   shares its write-backs.  On slot-granular regions this is the identity. *)
+(* Pack words onto consecutive simulated cache lines ([Region.place_near]
+   chaining): adjacent offsets share a line, exactly like real memory, so
+   a multi-word object carved from consecutive words shares its
+   write-backs.  [next_place region cursor] is the place of the word after
+   [cursor]'s, which it becomes.  On slot-granular regions it is [None]. *)
+let next_place region cursor =
+  let p =
+    match !cursor with
+    | Some near -> Region.place_near region near
+    | None -> Region.place region
+  in
+  cursor := p;
+  p
+
 let packed_slots region n v =
   let cursor = ref None in
   Array.init n (fun _ ->
-      let l = Region.place_near region !cursor in
-      cursor := l;
-      Slot.make ~persist:true ?line:l region v)
+      Slot.make ~persist:true ?place:(next_place region cursor) region v)
 
 let create ?(words = 1 lsl 16) ?(policy = Sharded) region =
   let arena_tab =
@@ -899,9 +907,9 @@ let remap t =
     let cursor = ref None in
     Array.map
       (fun w ->
-        let l = Region.place_near t.region !cursor in
-        cursor := l;
-        Slot.make ~persist:true ?line:l t.region
+        Slot.make ~persist:true
+          ?place:(next_place t.region cursor)
+          t.region
           (Option.value ~default:0 (Slot.persisted_value w)))
       arr
   in

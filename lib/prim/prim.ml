@@ -306,7 +306,7 @@ end) : S = struct
      granularity") *)
   let make_near_born near b =
     Mirror_core.Patomic.make_born ~placement:C.placement ~persist:true
-      ?line:(Region.place_near region (Mirror_core.Patomic.line near))
+      ?place:(Region.place_near region (Mirror_core.Patomic.place near))
       region b
 
   let make_near near v = make_near_born near (birth v)

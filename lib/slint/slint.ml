@@ -182,8 +182,9 @@ let cast_checked rel = List.exists (fun d -> under d rel) cast_dirs
    simulator's control plane, legal from the harness and examples. *)
 let region_data_plane =
   [
-    "fence"; "place"; "place_near"; "line_add_member"; "line_persist_members";
-    "line_in_flight"; "mark_line_flushed"; "record_deferred"; "announce";
+    "fence"; "place"; "place_near"; "home_place"; "line_add_member";
+    "line_persist_members"; "line_in_flight"; "mark_line_flushed";
+    "flush_line"; "record_deferred"; "announce";
     "advance_to"; "evicting"; "maybe_evict";
     "register_slot"; "register_volatile";
   ]

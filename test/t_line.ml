@@ -24,36 +24,40 @@ let test_vocab () =
 
 (* -- placement -------------------------------------------------------------- *)
 
-let uid l = Region.line_uid (Option.get l)
+let uid (p : Region.place option) =
+  Region.line_uid (Option.get (Option.get p).line)
 
 let test_placement () =
   (* slot-granular region: no lines exist *)
   let r1 = Region.create () in
   check (Region.slots_per_line r1 = 1) "default is one slot per line";
   check (Region.place r1 = None) "place degenerates at slots_per_line=1";
-  check (Region.place_near r1 None = None) "place_near degenerates too";
+  check
+    (Region.place_near r1 (Region.home_place r1) = None)
+    "place_near degenerates too";
   (* 4-slot lines: place_near packs until the line is full *)
   let r = Region.create ~slots_per_line:4 () in
   let l1 = Region.place r in
   check (l1 <> None) "place carves a line";
-  let l2 = Region.place_near r l1 in
-  let l3 = Region.place_near r l2 in
-  let l4 = Region.place_near r l3 in
+  let near l = Region.place_near r (Option.get l) in
+  let l2 = near l1 in
+  let l3 = near l2 in
+  let l4 = near l3 in
   check
     (uid l2 = uid l1 && uid l3 = uid l1 && uid l4 = uid l1)
     "three more fields share the line";
-  let l5 = Region.place_near r l4 in
+  let l5 = near l4 in
   check (uid l5 <> uid l1) "a full line overflows to a fresh one";
-  let l6 = Region.place_near r None in
-  check (uid l6 <> uid l1) "place_near None carves fresh"
+  let l6 = Region.place_near r (Region.home_place r) in
+  check (uid l6 <> uid l1) "place_near a lineless place carves fresh"
 
 (* -- coalescing ------------------------------------------------------------- *)
 
 let line_pair () =
   let r = Region.create ~slots_per_line:8 () in
-  let a = Slot.make ~persist:true ?line:(Region.place r) r 0 in
+  let a = Slot.make ~persist:true ?place:(Region.place r) r 0 in
   let b =
-    Slot.make ~persist:true ?line:(Region.place_near r (Slot.line a)) r 0
+    Slot.make ~persist:true ?place:(Region.place_near r (Slot.place a)) r 0
   in
   check
     (Region.line_uid (Option.get (Slot.line a))

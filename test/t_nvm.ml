@@ -379,10 +379,56 @@ let test_pair_named_by_slot () =
       ~buffered:false ~persist:true r b in
   check (Slot.uid y = Slot.uid x + 1) "one uid counter for both kinds"
 
+(* A slot's home is where its memory lives: its line's carver, or the
+   logical thread that allocated it when lineless.  A read from any other
+   thread pays the NUMA surcharge ([nvm_remote]); a read at home does
+   not.  The lineless slots one thread makes in one region share one
+   place. *)
+let test_slot_home () =
+  let at tid f = Hooks.with_tid (fun () -> tid) f in
+  let remote_reads s ~from =
+    Stats.reset_all ();
+    at from (fun () -> ignore (Slot.load s));
+    (Stats.get ()).Stats.nvm_remote
+  in
+  let homed what s ~home ~other =
+    check (remote_reads s ~from:other = 1) (what ^ ": remote from elsewhere");
+    check (remote_reads s ~from:home = 0) (what ^ ": local at home")
+  in
+  Latency.set_enabled false;
+  Fun.protect
+    ~finally:(fun () ->
+      Latency.set_numa_remote_ns 0;
+      Stats.reset_all ())
+    (fun () ->
+      Latency.set_numa_remote_ns 40;
+      let r = Region.create () in
+      let s = at 5 (fun () -> Slot.make ~persist:true r 0) in
+      homed "lineless slot" s ~home:5 ~other:0;
+      (* a line carved at tid 5, its slots made at tid 0 *)
+      let rl = Region.create ~slots_per_line:4 () in
+      let p = at 5 (fun () -> Region.place rl) in
+      let a = at 0 (fun () -> Slot.make ~persist:true ?place:p rl 0) in
+      let b =
+        at 0 (fun () ->
+            Slot.make ~persist:true
+              ?place:(Region.place_near rl (Slot.place a))
+              rl 0)
+      in
+      homed "line slot" a ~home:5 ~other:0;
+      homed "line-mate" b ~home:5 ~other:0;
+      let s' = at 5 (fun () -> Slot.make ~persist:true r 1) in
+      check
+        (Slot.place s' == Slot.place s)
+        "one thread's lineless slots share a place";
+      let o = at 0 (fun () -> Slot.make ~persist:true r 2) in
+      check (Slot.place o != Slot.place s) "another thread's slot has its own")
+
 (* A domain's persistence state for a region (pending write-backs,
-   in-flight lines, deferred persists) lives and dies with the region:
-   dropping regions after a store, flush and fence on each leaves the
-   main domain's live heap where it was, to within a word per region. *)
+   in-flight lines, deferred persists) and the places of its slots live
+   and die with the region: dropping regions after a store, flush and
+   fence on each leaves the main domain's live heap where it was, to
+   within a word per region. *)
 let test_no_state_outlives_region () =
   let strict () =
     let r = Region.create () in
@@ -400,10 +446,23 @@ let test_no_state_outlives_region () =
   in
   let line () =
     let r = Region.create ~slots_per_line:8 () in
-    let s = Slot.make ~persist:true ?line:(Region.place r) r 0 in
+    let s = Slot.make ~persist:true ?place:(Region.place r) r 0 in
     Slot.store s 1;
     Slot.flush s;
     Region.fence r
+  in
+  let homes () =
+    let r = Region.create () in
+    List.iter
+      (fun tid ->
+        Hooks.with_tid
+          (fun () -> tid)
+          (fun () ->
+            let s = Slot.make ~persist:true r 0 in
+            Slot.store s 1;
+            Slot.flush s;
+            Region.fence r))
+      [ 0; 3; 9 ]
   in
   let live_words () =
     Gc.full_major ();
@@ -424,7 +483,7 @@ let test_no_state_outlives_region () =
         (Printf.sprintf "%s: %.1f live words per dropped region" what
            per_region))
     [ ("strict slot", strict); ("buffered slot", buffered);
-      ("8-slot line", line) ]
+      ("8-slot line", line); ("lineless slots of three homes", homes) ]
 
 let suite =
   [
@@ -454,5 +513,7 @@ let suite =
           test_pair_named_by_slot;
         Alcotest.test_case "no state outlives its region" `Quick
           test_no_state_outlives_region;
+        Alcotest.test_case "a slot is homed where its memory lives" `Quick
+          test_slot_home;
       ] );
   ]
